@@ -13,16 +13,11 @@ from .bounds import (
     JumpFactor,
     JumpReport,
     PrimeSelection,
-    UnitCertificate,
     UnitClassification,
-    XiPolynomial,
     all_jump_points,
     classify,
     jump_points,
     select_prime,
-    xi_degree,
-    xi_top,
-    xi_unit_certificate,
     zero_bounds,
 )
 from .complexes import (
@@ -32,7 +27,6 @@ from .complexes import (
     betti,
     dominates,
     dominates_alternating,
-    duality_transform,
     euler_characteristic,
     poincare,
     specialization_order_check,
@@ -49,14 +43,11 @@ from .deformation import (
     build_deformation,
     mapping_torus,
     specialize_at_class,
-    specialize_boundary_case,
     trefoil_model_complex,
     trefoil_surgery_example,
 )
 from .errors import (
-    AllLevelsCancel,
     ComplexAxiomViolation,
-    DegreeOverflow,
     DirichletUnitRefusal,
     DomainRefusal,
     FormzerosError,
@@ -78,21 +69,19 @@ from .fields import (
     Rationals,
     RationalFunctionField,
 )
-from .matrix import Matrix, det, minor_gcd, rank, specialize_matrix
+from .matrix import Matrix, det, minor_gcd, rank
 from .poly import Poly, gcd_primitive, radical
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraicNumberSpec",
-    "AllLevelsCancel",
     "BettiVector",
     "BottCheckReport",
     "BottComponentData",
     "BoundsReport",
     "ChainComplex",
     "ComplexAxiomViolation",
-    "DegreeOverflow",
     "DirichletUnitRefusal",
     "DomainRefusal",
     "FieldTarget",
@@ -119,9 +108,7 @@ __all__ = [
     "SchemaError",
     "SpecializationOrderReport",
     "TrefoilSurgeryReport",
-    "UnitCertificate",
     "UnitClassification",
-    "XiPolynomial",
     "alexander_block_complex",
     "all_jump_points",
     "betti",
@@ -131,7 +118,6 @@ __all__ = [
     "det",
     "dominates",
     "dominates_alternating",
-    "duality_transform",
     "euler_characteristic",
     "gcd_primitive",
     "is_irreducible",
@@ -144,13 +130,8 @@ __all__ = [
     "select_prime",
     "specialization_order_check",
     "specialize_at_class",
-    "specialize_boundary_case",
-    "specialize_matrix",
     "split_squarefree",
     "trefoil_model_complex",
     "trefoil_surgery_example",
-    "xi_degree",
-    "xi_top",
-    "xi_unit_certificate",
     "zero_bounds",
 ]

@@ -12,14 +12,12 @@ Betti numbers exceed their generic values, via gcds of maximal minors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import ChainComplex, betti
 from .deformation import specialize_at_class
 from .errors import (
-    AllLevelsCancel,
     DirichletUnitRefusal,
     IsAlgebraicInteger,
     SchemaError,
@@ -276,139 +274,3 @@ def all_jump_points(
     return [
         jump_points(cx, j, max_factor_degree) for j in range(cx.top_degree + 1)
     ]
-
-
-class XiPolynomial:
-    """Z-linear combination of points of an integer lattice Z^r.
-
-    For r = 1 these are the Laurent polynomials; in general they are
-    group-ring elements of a free abelian group, graded by an exact
-    rational linear form xi.
-    """
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms):
-        if rank < 1:
-            raise SchemaError("lattice rank must be at least 1")
-        self.rank = rank
-        clean = {}
-        for point, c in terms.items():
-            point = tuple(int(x) for x in point)
-            if len(point) != rank:
-                raise SchemaError(
-                    f"lattice point {point} does not have rank {rank}"
-                )
-            if c:
-                clean[point] = clean.get(point, 0) + int(c)
-        self.terms = {p: c for p, c in clean.items() if c}
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "XiPolynomial":
-        """Rank-1 embedding of an ordinary integer polynomial."""
-        return cls(1, {(k,): c for k, c in enumerate(p.coeffs)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __mul__(self, other: "XiPolynomial") -> "XiPolynomial":
-        if self.rank != other.rank:
-            raise SchemaError("lattice ranks differ")
-        out: dict[tuple, int] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(p1, p2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return XiPolynomial(self.rank, out)
-
-    def __repr__(self):
-        return f"XiPolynomial(rank={self.rank}, {len(self.terms)} terms)"
-
-
-def _levels(p: XiPolynomial, xi) -> dict:
-    xi = tuple(Fraction(x) for x in xi)
-    if len(xi) != p.rank:
-        raise SchemaError(f"xi vector must have length {p.rank}")
-    levels: dict[Fraction, int] = {}
-    for point, c in p.terms.items():
-        lvl = sum((x * h for x, h in zip(xi, point)), Fraction(0))
-        levels[lvl] = levels.get(lvl, 0) + c
-    return {lvl: s for lvl, s in levels.items() if s}
-
-
-def xi_degree(p: XiPolynomial, xi) -> Fraction:
-    """Largest grade carrying a nonzero coefficient sum."""
-    if p.is_zero():
-        raise SchemaError("the zero element has no grade")
-    levels = _levels(p, xi)
-    if not levels:
-        raise AllLevelsCancel(
-            "every grade level of the element sums to zero"
-        )
-    return max(levels)
-
-def xi_top(p: XiPolynomial, xi) -> tuple[Fraction, int]:
-    """The top grade and its coefficient sum."""
-    if p.is_zero():
-        raise SchemaError("the zero element has no grade")
-    levels = _levels(p, xi)
-    if not levels:
-        raise AllLevelsCancel(
-            "every grade level of the element sums to zero"
-        )
-    top = max(levels)
-    return top, levels[top]
-
-
-@dataclass(frozen=True)
-class UnitCertificate:
-    status: str  # "certificate" | "unknown"
-    word: tuple | None  # indices into the generator list, or None
-    value: int | None  # the top coefficient sum +-1, when found
-    budget: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "word": list(self.word) if self.word is not None else None,
-            "value": self.value,
-            "budget": self.budget,
-        }
-
-
-def xi_unit_certificate(gens, xi, budget: int = 3) -> UnitCertificate:
-    """Search products of ideal generators for a top coefficient +-1.
-
-    Scans all products of the given lattice polynomials of word length
-    up to ``budget`` (with repetition, order irrelevant: the lattice
-    ring is commutative).  Finding one with top coefficient sum +-1
-    certifies the graded-unit property; exhausting the budget returns
-    "unknown", never a negative claim.  For a single rank-1 generator
-    this reduces to monicity of the generating polynomial, the same
-    test ``classify`` applies to minimal polynomials.
-    """
-    gens = list(gens)
-    if not gens:
-        raise SchemaError("need at least one ideal generator")
-    if budget < 1:
-        raise SchemaError("word-length budget must be positive")
-    r = gens[0].rank
-    for g in gens:
-        if g.rank != r:
-            raise SchemaError("ideal generators live in different lattices")
-    for length in range(1, budget + 1):
-        for combo in itertools.combinations_with_replacement(
-            range(len(gens)), length
-        ):
-            prod = gens[combo[0]]
-            for idx in combo[1:]:
-                prod = prod * gens[idx]
-            if prod.is_zero():
-                continue
-            try:
-                _, v = xi_top(prod, xi)
-            except AllLevelsCancel:
-                continue
-            if v in (1, -1):
-                return UnitCertificate("certificate", combo, v, budget)
-    return UnitCertificate("unknown", None, None, budget)

@@ -4,9 +4,7 @@ Exit codes: 0 success, 1 violated invariant (including a failed
 order check), 2 malformed input, 3 refusal on mathematical grounds.
 Output is deterministic: same inputs, same bytes.  ``--format json``
 swaps the ASCII tables for a single JSON document with stable key
-order.  ``--seed`` is accepted for parity with the programmatic
-generators; the shipped commands are fully deterministic and ignore
-it.
+order.
 """
 
 from __future__ import annotations
@@ -200,12 +198,7 @@ def _override_prime(report, p: int):
     )
 
 
-def cmd_jumps(args) -> int:
-    cx = _load_complex(args)
-    if args.degree is not None:
-        reports = [jump_points(cx, args.degree, args.max_factor_degree)]
-    else:
-        reports = all_jump_points(cx, args.max_factor_degree)
+def _jump_lines(reports) -> list:
     lines = []
     for rep in reports:
         lines.append(
@@ -217,7 +210,16 @@ def cmd_jumps(args) -> int:
         for f in rep.factors:
             tail = f"b = {f.value}" if f.value is not None else "not certified"
             lines.append(f"  {f.factor.format()}  [{f.status}]  {tail}")
-    _emit(args, lines, {"reports": [r.to_json_dict() for r in reports]})
+    return lines
+
+
+def cmd_jumps(args) -> int:
+    cx = _load_complex(args)
+    if args.degree is not None:
+        reports = [jump_points(cx, args.degree, args.max_factor_degree)]
+    else:
+        reports = all_jump_points(cx, args.max_factor_degree)
+    _emit(args, _jump_lines(reports), {"reports": [r.to_json_dict() for r in reports]})
     return EXIT_OK
 
 
@@ -361,14 +363,7 @@ def cmd_example(args) -> int:
     else:
         lines.append(cx.to_json())
     lines.append("jump report:")
-    for rep in reports:
-        lines.append(
-            f"degree {rep.degree}: generic b = {rep.generic}, "
-            f"candidate = {rep.candidate.format()}"
-        )
-        for f in rep.factors:
-            tail = f"b = {f.value}" if f.value is not None else "not certified"
-            lines.append(f"  {f.factor.format()}  [{f.status}]  {tail}")
+    lines += _jump_lines(reports)
     _emit(
         args,
         lines,
@@ -394,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("table", "json"), default="table",
         help="output style (default: table)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="seed for randomised generators (current commands ignore it)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -15,19 +15,14 @@ import json
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from .errors import (
-    ComplexAxiomViolation,
-    DegreeOverflow,
-    PreconditionViolation,
-    SchemaError,
-)
+from .errors import ComplexAxiomViolation, PreconditionViolation, SchemaError
 from .fields import (
     AlgebraicNumberSpec,
     FieldTarget,
     PrimeField,
     RationalFunctionField,
 )
-from .matrix import Matrix, rank as matrix_rank, specialize_matrix
+from .matrix import Matrix, rank as matrix_rank
 from .poly import Poly
 
 RING_TAG = "Z[t]"
@@ -173,8 +168,7 @@ def betti(cx: ChainComplex, target: FieldTarget) -> BettiVector:
     m = cx.top_degree
     bd_ranks = [0] * (m + 2)
     for i in range(1, m + 1):
-        spec = specialize_matrix(cx.boundary(i), target)
-        bd_ranks[i] = matrix_rank(spec, target)
+        bd_ranks[i] = matrix_rank(cx.boundary(i), target)
     entries = tuple(
         cx.ranks[i] - bd_ranks[i] - bd_ranks[i + 1] for i in range(m + 1)
     )
@@ -223,15 +217,6 @@ def dominates_alternating(p: Poly, q: Poly) -> bool:
         if sp < sq:
             return False
     return True
-
-
-def duality_transform(p: Poly, n: int) -> Poly:
-    """Reverse coefficients within the degree window 0..n."""
-    if p.degree > n:
-        raise DegreeOverflow(
-            f"polynomial degree {p.degree} exceeds the window {n}"
-        )
-    return p.reversal(window=n)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 from .complexes import BettiVector, ChainComplex, betti, dominates
 from .errors import NonUnimodular, PositiveXiWord, SchemaError
-from .fields import (
-    AlgebraicNumberSpec,
-    FieldTarget,
-    NumberField,
-    PrimeField,
-    Rationals,
-)
+from .fields import AlgebraicNumberSpec, NumberField
 from .matrix import Matrix, int_det
 from .poly import Poly
 
@@ -297,22 +291,6 @@ def specialize_at_class(
     if sign_convention not in ("xi", "-xi"):
         raise SchemaError(f"unknown sign convention {sign_convention!r}")
     target = a.field_target(invert=(sign_convention == "xi"))
-    return betti(cx, target)
-
-
-def specialize_boundary_case(
-    cx: ChainComplex, mode: str, p: int | None = None
-) -> BettiVector:
-    """Betti numbers at the boundary specialisation t = 0, either over
-    the rationals ("rational_zero") or over Z/p ("prime_field_zero")."""
-    if mode == "rational_zero":
-        target: FieldTarget = Rationals()
-    elif mode == "prime_field_zero":
-        if p is None:
-            raise SchemaError("prime_field_zero needs a prime p")
-        target = PrimeField(p)
-    else:
-        raise SchemaError(f"unknown boundary mode {mode!r}")
     return betti(cx, target)
 
 

@@ -39,10 +39,6 @@ class PositiveXiWord(InvariantViolation):
     """A group-ring word has positive grading and is not allowed."""
 
 
-class DegreeOverflow(InputError):
-    """Polynomial degree exceeds the ambient degree window."""
-
-
 class NonUnimodular(DomainRefusal):
     """An integer matrix that must have determinant +-1 does not."""
 
@@ -59,8 +55,3 @@ class DirichletUnitRefusal(DomainRefusal):
 class IsAlgebraicInteger(DomainRefusal):
     """No admissible prime exists because the number is an algebraic
     integer (its primitive minimal polynomial is monic)."""
-
-
-class AllLevelsCancel(DomainRefusal):
-    """Every graded level of a lattice polynomial sums to zero, so no
-    top coefficient can be extracted."""

@@ -31,13 +31,6 @@ class Matrix:
         self.rows = rows
 
     @classmethod
-    def from_rows(cls, rows, ncols: int | None = None) -> "Matrix":
-        rows = [tuple(r) for r in rows]
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
     def identity(cls, n: int, one=1, zero=0) -> "Matrix":
         return cls(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
@@ -65,13 +58,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, {self.rows!r})"
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ncols,
-            self.nrows,
-            [[self.rows[r][c] for r in range(self.nrows)] for c in range(self.ncols)],
-        )
 
     def map(self, fn) -> "Matrix":
         return Matrix(
@@ -110,21 +96,16 @@ class Matrix:
         return all(not x for row in self.rows for x in row)
 
 
-def specialize_matrix(m: Matrix, target) -> Matrix:
-    """Apply the target's ring map to every polynomial entry."""
-    return m.map(target.convert)
-
-
 def _over_target(m: Matrix, target) -> Matrix:
-    # accept both raw Z[t] matrices and pre-specialised ones
+    # polynomial entries go through the target's ring map; other
+    # entries (int_det's integers) are already in the target
     return m.map(lambda e: target.convert(e) if isinstance(e, Poly) else e)
 
 
 def rank(m: Matrix, target) -> int:
     """Exact rank over the target field via fraction-free elimination.
 
-    Polynomial entries are pushed through the target first, so the
-    matrix may be given either over Z[t] or already specialised.
+    Polynomial entries are pushed through the target's ring map first.
     """
     m = _over_target(m, target)
     rows = [list(r) for r in m.rows]

@@ -1,5 +1,4 @@
-"""Zero-count bounds, unit classification, jump loci, and the grading
-calculus on group-ring elements."""
+"""Zero-count bounds, unit classification and jump loci."""
 
 from __future__ import annotations
 
@@ -8,20 +7,15 @@ from fractions import Fraction
 import pytest
 
 from formzeros.bounds import (
-    XiPolynomial,
     all_jump_points,
     classify,
     jump_points,
     select_prime,
-    xi_degree,
-    xi_top,
-    xi_unit_certificate,
     zero_bounds,
 )
 from formzeros.complexes import ChainComplex
 from formzeros.deformation import mapping_torus, trefoil_model_complex
 from formzeros.errors import (
-    AllLevelsCancel,
     DirichletUnitRefusal,
     IsAlgebraicInteger,
     SchemaError,
@@ -178,52 +172,3 @@ def test_jump_points_degree_out_of_range():
     cx = mapping_torus([[1]])
     with pytest.raises(SchemaError):
         jump_points(cx, 5)
-
-
-# -- the grading calculus ---------------------------------------------
-
-
-def test_xi_degree_and_top():
-    p = XiPolynomial(1, {(0,): 1, (1,): -3, (2,): 2})
-    xi = (Fraction(1),)
-    assert xi_degree(p, xi) == Fraction(2)
-    assert xi_top(p, xi) == (Fraction(2), 2)
-
-
-def test_xi_levels_merge_and_cancel():
-    # both lattice points sit at level 0 for xi = (1, -1) and cancel
-    p = XiPolynomial(2, {(0, 0): 1, (1, 1): -1})
-    with pytest.raises(AllLevelsCancel):
-        xi_degree(p, (Fraction(1), Fraction(-1)))
-    # a generic grade separates them again
-    assert xi_degree(p, (Fraction(2), Fraction(-1))) == Fraction(1)
-
-
-def test_xi_zero_element_rejected():
-    with pytest.raises(SchemaError):
-        xi_degree(XiPolynomial(1, {}), (Fraction(1),))
-
-
-def test_xi_polynomial_product():
-    a = XiPolynomial(1, {(0,): 1, (1,): 1})
-    b = XiPolynomial(1, {(0,): 1, (1,): -1})
-    assert (a * b).terms == {(0,): 1, (2,): -1}
-
-
-def test_unit_certificate_found():
-    gens = [XiPolynomial(1, {(0,): 1, (1,): -1, (2,): 1})]
-    xi = (Fraction(-1),)
-    cert = xi_unit_certificate(gens, xi)
-    assert cert.status == "certificate"
-    assert cert.word == (0,)
-    assert cert.value in (1, -1)
-
-
-def test_unit_certificate_unknown():
-    # top level sits at the origin with coefficient 2, so every power
-    # has top coefficient 2^k and the search must stay agnostic
-    gens = [XiPolynomial(1, {(0,): 2, (1,): -1})]
-    xi = (Fraction(-1),)
-    cert = xi_unit_certificate(gens, xi, budget=3)
-    assert cert.status == "unknown"
-    assert cert.value is None

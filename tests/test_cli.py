@@ -208,3 +208,18 @@ def test_json_output_is_deterministic(capsys, torus_file):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "matrix", ["[[0,-1],[1,1]]", "[[0,0,1],[1,0,0],[0,1,0]]"]
+)
+def test_example_jump_report_matches_jumps(capsys, tmp_path, matrix):
+    path = str(tmp_path / "torus.json")
+    code, out, _ = run(capsys, ["example", "mapping-torus", "--matrix", matrix,
+                                "-o", path])
+    assert code == 0
+    head, _, report = out.partition("jump report:\n")
+    assert head == f"complex written to {path}\n"
+    code, jumps_out, _ = run(capsys, ["jumps", "-c", path])
+    assert code == 0
+    assert report == jumps_out

@@ -13,14 +13,12 @@ from formzeros.complexes import (
     betti,
     dominates,
     dominates_alternating,
-    duality_transform,
     euler_characteristic,
     poincare,
     specialization_order_check,
 )
 from formzeros.errors import (
     ComplexAxiomViolation,
-    DegreeOverflow,
     PreconditionViolation,
     SchemaError,
 )
@@ -155,13 +153,6 @@ def test_dominates_witness_certifies():
         if holds:
             assert all(c >= 0 for c in w.coeffs)
             assert p - q == lam * w
-
-
-def test_duality_transform():
-    assert duality_transform(Poly((1, 2)), 3) == Poly((0, 0, 2, 1))
-    assert duality_transform(Poly.zero(), 2) == Poly.zero()
-    with pytest.raises(DegreeOverflow):
-        duality_transform(Poly((0, 0, 1)), 1)
 
 
 # -- ideal containment ------------------------------------------------

@@ -14,7 +14,6 @@ from formzeros.deformation import (
     build_deformation,
     mapping_torus,
     specialize_at_class,
-    specialize_boundary_case,
     trefoil_model_complex,
     trefoil_surgery_example,
 )
@@ -23,7 +22,13 @@ from formzeros.errors import (
     PositiveXiWord,
     SchemaError,
 )
-from formzeros.fields import AlgebraicNumberSpec, NumberField, RationalFunctionField
+from formzeros.fields import (
+    AlgebraicNumberSpec,
+    NumberField,
+    PrimeField,
+    Rationals,
+    RationalFunctionField,
+)
 from formzeros.matrix import Matrix
 from formzeros.poly import Poly
 
@@ -178,13 +183,11 @@ def test_specialize_boundary_cases():
     from formzeros.complexes import ChainComplex
 
     cx = ChainComplex((1, 1), [Matrix(1, 1, [[Poly.t()]])])
-    assert specialize_boundary_case(cx, "rational_zero").entries == (1, 1)
-    assert specialize_boundary_case(cx, "prime_field_zero", p=5).entries == (1, 1)
+    assert betti(cx, Rationals()).entries == (1, 1)
+    assert betti(cx, PrimeField(5)).entries == (1, 1)
     # the circle complex 1 - t keeps full rank at t = 0
     circle = mapping_torus([[1]])
-    assert specialize_boundary_case(circle, "rational_zero").entries == (0, 0)
-    with pytest.raises(SchemaError):
-        specialize_boundary_case(cx, "nonsense")
+    assert betti(circle, Rationals()).entries == (0, 0)
 
 
 # -- trefoil surgery --------------------------------------------------
