@@ -224,7 +224,11 @@ class JumpReport:
 
 
 def jump_points(
-    cx: ChainComplex, degree: int, max_factor_degree: int = 8
+    cx: ChainComplex,
+    degree: int,
+    max_factor_degree: int = 8,
+    *,
+    _shared: dict | None = None,
 ) -> JumpReport:
     """Candidate and confirmed jump loci for one homological degree.
 
@@ -233,29 +237,35 @@ def jump_points(
     maximal minors.  Square-free irreducible factors of degree at most
     ``max_factor_degree`` are confirmed by re-specialising the complex
     at their root field; anything larger stays unconfirmed.
+
+    ``_shared`` carries the degree-independent facts between the calls
+    of one ``all_jump_points``; a call on its own computes each once.
     """
     m = cx.top_degree
     if not 0 <= degree <= m:
         raise SchemaError(f"degree {degree} outside 0..{m}")
+    memo = {} if _shared is None else _shared
     rff = RationalFunctionField()
-    generic_b = betti(cx, rff)[degree]
+    generic_b = _once(memo, "generic", lambda: betti(cx, rff))[degree]
     candidate = Poly.one()
     for i in (degree, degree + 1):
         if not 1 <= i <= m:
             continue
-        d = cx.boundary(i)
-        r = matrix_rank(d, rff)
-        if r == 0:
-            continue
-        g = minor_gcd(d, r)
-        candidate = candidate * g
+        g = _once(memo, ("minor_gcd", i), lambda: _boundary_minor_gcd(cx, i, rff))
+        if g is not None:
+            candidate = candidate * g
     candidate = candidate.strip_powers()[1].primitive()
     sq = radical(candidate)
     factors: list[JumpFactor] = []
     if sq.degree >= 1:
-        irreducible, unresolved = split_squarefree(sq, max_factor_degree)
+        irreducible, unresolved = _once(
+            memo, ("split", sq), lambda: split_squarefree(sq, max_factor_degree)
+        )
         for f in irreducible:
-            value = betti(cx, NumberField(f.monic()))[degree]
+            root = f.monic()
+            value = _once(
+                memo, ("betti", root), lambda: betti(cx, NumberField(root))
+            )[degree]
             status = "confirmed" if value > generic_b else "rejected"
             factors.append(JumpFactor(f, status, value))
         for f in unresolved:
@@ -268,9 +278,36 @@ def jump_points(
     )
 
 
+def _once(memo: dict, key, compute):
+    """``memo[key]``, calling ``compute()`` to fill it on first use."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _boundary_minor_gcd(
+    cx: ChainComplex, i: int, rff: RationalFunctionField
+) -> Poly | None:
+    """Gcd of the maximal minors of d_i at its generic rank, or None
+    when d_i vanishes generically (it then lowers no Betti number)."""
+    d = cx.boundary(i)
+    r = matrix_rank(d, rff)
+    return minor_gcd(d, r) if r else None
+
+
 def all_jump_points(
     cx: ChainComplex, max_factor_degree: int = 8
 ) -> list[JumpReport]:
+    """``jump_points`` for every degree, computing each shared fact once.
+
+    Degree j reads d_j and d_{j+1}, so each boundary serves two
+    degrees, and one root field can confirm factors in several.  The
+    calls therefore share one memo holding the generic Betti vector,
+    each boundary's generic rank and minor gcd, the factor split of
+    each square-free candidate and the Betti vector at each root field.
+    """
+    shared: dict = {}
     return [
-        jump_points(cx, j, max_factor_degree) for j in range(cx.top_degree + 1)
+        jump_points(cx, j, max_factor_degree, _shared=shared)
+        for j in range(cx.top_degree + 1)
     ]

@@ -207,6 +207,6 @@ def minor_gcd(m: Matrix, r: int) -> Poly:
         for col_idx in itertools.combinations(range(m.ncols), r):
             d = det(m.submatrix(row_idx, col_idx), target)
             g = gcd_primitive(g, d)
-            if g == Poly.one():
+            if g.coeffs == (1,):
                 return g
     return g

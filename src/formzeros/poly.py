@@ -327,18 +327,9 @@ class Poly:
         k = self.lowest_power()
         return k, Poly(self.coeffs[k:])
 
-    def reversal(self, window: int | None = None) -> "Poly":
-        """Coefficient reversal within degree ``window`` (default: degree).
-
-        For a polynomial p of degree n this is t**n * p(1/t).
-        """
-        n = self.degree if window is None else window
-        if n < self.degree:
-            raise ValueError("reversal window smaller than the degree")
-        out = [0] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
-        return Poly(out)
+    def reversal(self) -> "Poly":
+        """Coefficient reversal: t**n * p(1/t) for p of degree n."""
+        return Poly(reversed(self.coeffs))
 
     # -- rendering ---------------------------------------------------
 

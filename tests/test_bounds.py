@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import formzeros.bounds
+from formzeros import cli
 from formzeros.bounds import (
     all_jump_points,
     classify,
@@ -20,7 +28,8 @@ from formzeros.errors import (
     IsAlgebraicInteger,
     SchemaError,
 )
-from formzeros.fields import AlgebraicNumberSpec
+from formzeros.fields import AlgebraicNumberSpec, NumberField
+from formzeros.generators import random_complex
 from formzeros.matrix import Matrix
 from formzeros.poly import Poly
 
@@ -172,3 +181,144 @@ def test_jump_points_degree_out_of_range():
     cx = mapping_torus([[1]])
     with pytest.raises(SchemaError):
         jump_points(cx, 5)
+
+
+# -- all_jump_points shares per-complex facts ----------------------------
+
+# Monic irreducibles with constant term +-1 (low degree first) for the
+# companion blocks of unimodular monodromies.
+_MONODROMY_BLOCKS = {
+    1: [(1, 1), (-1, 1)],
+    2: [(1, 1, 1), (1, -3, 1)],
+    3: [(-1, -1, 0, 1)],
+    4: [(1, 1, 1, 1, 1)],
+}
+# Block degrees of the jump-loci benchmark's mapping-torus operations.
+_TORUS_PROFILES = [(1, 2), (1, 1, 1), (2, 2), (3, 2, 2), (4, 3, 1)]
+
+
+def _conjugated_block_companion(degrees, rng):
+    """``U C U^-1`` for C block companion of the listed factor degrees
+    and U a product of integer elementary moves."""
+    blocks = [_MONODROMY_BLOCKS[d][k % len(_MONODROMY_BLOCKS[d])] for k, d in enumerate(degrees)]
+    n = sum(degrees)
+    b = [[0] * n for _ in range(n)]
+    off = 0
+    for g in blocks:
+        k = len(g) - 1
+        for i in range(1, k):
+            b[off + i][off + i - 1] = 1
+        for i in range(k):
+            b[off + i][off + k - 1] = -g[i]
+        off += k
+    for _ in range(n + 2):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        b[i] = [x + s * y for x, y in zip(b[i], b[j])]
+        for row in b:
+            row[j] -= s * row[i]
+    return b
+
+
+def _shared_factor_complex():
+    """0 <- Z[t] <-[fg, 0]- Z[t]^2 <-[0, f]^T- Z[t] with f = t^2 + 1 and
+    g = 2t - 1: f lowers both boundary ranks, so its root field confirms
+    a jump in all three degrees, and g's in degrees 0 and 1."""
+    f, g = Poly((1, 0, 1)), Poly((-1, 2))
+    d1 = Matrix(1, 2, [[f * g, Poly.zero()]])
+    d2 = Matrix(2, 1, [[Poly.zero()], [f]])
+    return ChainComplex((1, 2, 1), [d1, d2])
+
+
+def _differential_complexes():
+    rng = random.Random(5)
+    out = [mapping_torus(_conjugated_block_companion(p, rng)) for p in _TORUS_PROFILES]
+    out.append(_shared_factor_complex())
+    # seeds whose complexes have three or more terms and a jump factor
+    for seed in (3, 9, 11, 17, 51):
+        cx = random_complex(random.Random(seed), max_modules=5, max_rank=4)
+        assert cx.top_degree >= 2
+        out.append(cx)
+    return out
+
+
+@pytest.mark.parametrize("cx", _differential_complexes())
+def test_all_jump_points_matches_per_degree_calls(cx):
+    expected = [jump_points(cx, j) for j in range(cx.top_degree + 1)]
+    assert all_jump_points(cx) == expected
+
+
+def test_shared_factor_confirmed_in_every_degree():
+    reports = all_jump_points(_shared_factor_complex())
+    f, g = Poly((1, 0, 1)), Poly((-1, 2))
+    assert [r.generic for r in reports] == [0, 0, 0]
+    assert [{j.factor for j in r.factors} for r in reports] == [{f, g}, {f, g}, {f}]
+    assert all(j.status == "confirmed" for r in reports for j in r.factors)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap ``formzeros.bounds.<name>`` and return the list of its
+    positional arguments, one entry per call."""
+    calls = []
+    fn = getattr(formzeros.bounds, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(formzeros.bounds, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cx, boundaries, root_fields",
+    [
+        (_shared_factor_complex(), 2, 2),
+        (mapping_torus([[0, -1], [1, 1]]), 1, 1),
+        # every boundary vanishes generically: no minor gcd, no candidate
+        (ChainComplex((1, 1, 1), [Matrix.zeros(1, 1, Poly.zero())] * 2), 0, 0),
+    ],
+)
+def test_all_jump_points_computes_shared_facts_once(monkeypatch, cx, boundaries, root_fields):
+    minor_gcds = _count_calls(monkeypatch, "minor_gcd")
+    bettis = _count_calls(monkeypatch, "betti")
+    splits = _count_calls(monkeypatch, "split_squarefree")
+    all_jump_points(cx)
+    assert len(minor_gcds) == boundaries
+    targets = [target for _, target in bettis]
+    number_fields = [t for t in targets if isinstance(t, NumberField)]
+    assert len(targets) == 1 + root_fields
+    assert len(number_fields) == len(set(number_fields)) == root_fields
+    assert len({sq for sq, _ in splits}) == len(splits)
+
+
+def test_jump_points_alone_computes_its_own_facts(monkeypatch):
+    minor_gcds = _count_calls(monkeypatch, "minor_gcd")
+    bettis = _count_calls(monkeypatch, "betti")
+    cx = _shared_factor_complex()
+    for j in range(cx.top_degree + 1):
+        jump_points(cx, j)
+    # degree 1 reads both boundaries, degrees 0 and 2 one each
+    assert len(minor_gcds) == 4
+    # one generic vector per call, plus one root field per factor
+    assert len(bettis) == 3 + 2 + 2 + 1
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_jumps_match_benchmark_oracle(monkeypatch, tmp_path):
+    """The first jump-loci chunk of the benchmark, checked against its
+    closed-form expected outputs."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)
+    spec.loader.exec_module(workloads)
+    ops = workloads.JumpLoci("201", str(tmp_path)).chunk(0)
+    assert len(ops) == 16
+    for op in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(op.argv)
+        assert (code, out.getvalue()) == op.expect, op.argv

@@ -114,13 +114,11 @@ def test_evaluate_horner():
     assert p.evaluate(2) == 9
 
 
-def test_reversal_window():
-    # t^2 - t + 1 is its own reversal; a window wider than the degree
-    # pads with genuine zero coefficients.
+def test_reversal():
+    # t^2 - t + 1 is its own reversal
     p = Poly((1, -1, 1))
     assert p.reversal() == p
     assert Poly((2, 1)).reversal() == Poly((1, 2))
-    assert Poly((1,)).reversal(window=2) == Poly((0, 0, 1))
 
 
 def test_strip_powers():
