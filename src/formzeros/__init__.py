@@ -1,9 +1,9 @@
 """Exact homological lower bounds for zeros of closed one-forms.
 
 Everything is computed over Z[t] (t the deformation variable) with
-exact arithmetic end to end: fraction-free elimination for ranks and
-determinants, certified factorisation for jump loci, and divisibility
-witnesses for every counting inequality.
+exact arithmetic end to end: exact elimination for ranks and
+determinants (fraction-free over Z[t]), certified factorisation for
+jump loci, and divisibility witnesses for every counting inequality.
 """
 
 from __future__ import annotations

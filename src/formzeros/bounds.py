@@ -246,13 +246,18 @@ def jump_points(
         raise SchemaError(f"degree {degree} outside 0..{m}")
     memo = {} if _shared is None else _shared
     rff = RationalFunctionField()
-    generic_b = _once(memo, "generic", lambda: betti(cx, rff))[degree]
+    # generic ranks of d_j and d_{j+1}; off-end boundaries are zero
+    ranks = {
+        i: _once(memo, ("rank", i), lambda: matrix_rank(cx.boundary(i), rff))
+        for i in (degree, degree + 1)
+        if 1 <= i <= m
+    }
+    generic_b = cx.ranks[degree] - sum(ranks.values())
     candidate = Poly.one()
-    for i in (degree, degree + 1):
-        if not 1 <= i <= m:
-            continue
-        g = _once(memo, ("minor_gcd", i), lambda: _boundary_minor_gcd(cx, i, rff))
-        if g is not None:
+    for i, r in ranks.items():
+        # a boundary that vanishes generically lowers no Betti number
+        if r:
+            g = _once(memo, ("minor_gcd", i), lambda: minor_gcd(cx.boundary(i), r))
             candidate = candidate * g
     candidate = candidate.strip_powers()[1].primitive()
     sq = radical(candidate)
@@ -285,16 +290,6 @@ def _once(memo: dict, key, compute):
     return memo[key]
 
 
-def _boundary_minor_gcd(
-    cx: ChainComplex, i: int, rff: RationalFunctionField
-) -> Poly | None:
-    """Gcd of the maximal minors of d_i at its generic rank, or None
-    when d_i vanishes generically (it then lowers no Betti number)."""
-    d = cx.boundary(i)
-    r = matrix_rank(d, rff)
-    return minor_gcd(d, r) if r else None
-
-
 def all_jump_points(
     cx: ChainComplex, max_factor_degree: int = 8
 ) -> list[JumpReport]:
@@ -302,9 +297,10 @@ def all_jump_points(
 
     Degree j reads d_j and d_{j+1}, so each boundary serves two
     degrees, and one root field can confirm factors in several.  The
-    calls therefore share one memo holding the generic Betti vector,
-    each boundary's generic rank and minor gcd, the factor split of
-    each square-free candidate and the Betti vector at each root field.
+    calls therefore share one memo holding each boundary's generic rank
+    (the generic Betti numbers follow from these by rank-nullity) and
+    minor gcd, the factor split of each square-free candidate and the
+    Betti vector at each root field.
     """
     shared: dict = {}
     return [

@@ -1,7 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 violated invariant (including a failed
-order check), 2 malformed input, 3 refusal on mathematical grounds.
+Exit codes: 0 success, 1 violated invariant (a false order in
+``compare-ideals`` or ``bott-check``, or input that breaks a structural
+invariant), 2 malformed input, 3 refusal on mathematical grounds.
+``verify-order`` prints its verdict, true or false, and exits 0.
 Output is deterministic: same inputs, same bytes.  ``--format json``
 swaps the ASCII tables for a single JSON document with stable key
 order.

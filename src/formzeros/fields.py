@@ -12,6 +12,15 @@ A target knows how to convert an integer polynomial into one of its
 elements and how to divide elements (exactly), which is all the
 elimination code needs.  Elements test false exactly when they are
 zero, so a uniform ``not x`` suffices as the zero test.
+
+A number-field element is its coefficient vector modulo the modulus m
+of degree k.  The field keeps a table of the reductions of t^k, t^(k+1),
+... modulo m: the first row is read off m at construction, and each
+further row is the previous one times t, so the table grows only when
+an entry or product of higher degree first needs it.  Converting an
+entry and multiplying two elements (a convolution of the coefficient
+vectors) both fold their high coefficients through this table, with no
+polynomial division.  Only the inverse runs an extended Euclid.
 """
 
 from __future__ import annotations
@@ -63,14 +72,16 @@ class NumberFieldElement:
         if len(coeffs) != deg:
             raise ValueError("coefficient vector longer than the field degree")
         self.field = field
+        # ``type(c) is Fraction``: isinstance against the ``numbers`` ABC
+        # goes through ABCMeta for every coefficient of every product
         self.coeffs = tuple(
-            int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+            int(c) if type(c) is Fraction and c.denominator == 1 else c
             for c in coeffs
         )
 
     def _check(self, other) -> "NumberFieldElement":
         if isinstance(other, NumberFieldElement):
-            if other.field.modulus != self.field.modulus:
+            if other.field is not self.field and other.field.modulus != self.field.modulus:
                 raise ValueError("elements of different number fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -94,7 +105,9 @@ class NumberFieldElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return NumberFieldElement(
+            self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+        )
 
     def __rsub__(self, other):
         return -(self - other)
@@ -103,7 +116,12 @@ class NumberFieldElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field.reduce(Poly(self.coeffs) * Poly(other.coeffs))
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    prod[i + j] += a * b
+        return self.field._fold(prod)
 
     __rmul__ = __mul__
 
@@ -267,19 +285,38 @@ class NumberField(FieldTarget):
         if modulus.degree < 1:
             raise ValueError("number field modulus must be nonconstant")
         self.modulus = modulus
+        # _powers[j] holds the coefficients of t^(degree + j) modulo the
+        # modulus; t^degree = -(lower terms of the monic modulus)
+        self._powers = [tuple(-c for c in modulus.coeffs[:-1])]
 
     @property
     def degree(self) -> int:
         return self.modulus.degree
 
+    def _fold(self, coeffs) -> NumberFieldElement:
+        """The element of a coefficient list of any length: each power
+        t^k with k >= degree is replaced by its row of the table."""
+        k = self.degree
+        out = list(coeffs[:k])
+        high = coeffs[k:]
+        powers = self._powers
+        while len(powers) < len(high):
+            # t * t^(k+j): shift up one place and fold the top term back
+            last = powers[-1]
+            top, shifted = last[-1], (0,) + last[:-1]
+            if top:
+                shifted = tuple(b + top * c for b, c in zip(shifted, powers[0]))
+            powers.append(shifted)
+        for c, row in zip(high, powers):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return NumberFieldElement(self, out)
+
     def reduce(self, p: Poly) -> NumberFieldElement:
-        rem = divmod(p, self.modulus)[1]
-        return NumberFieldElement(self, [rem[i] for i in range(self.degree)])
+        return self._fold(p.coeffs)
 
     convert = reduce
-
-    def tau_image(self) -> NumberFieldElement:
-        return self.reduce(Poly.t())
 
     def describe(self) -> str:
         if self.degree == 1:

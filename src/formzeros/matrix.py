@@ -1,16 +1,26 @@
 """Dense matrices and exact elimination.
 
-Rank and determinant use one-step fraction-free (Bareiss) elimination
-with leftmost-nonzero pivot selection: deterministic, exact over any
-ring that supports the required divisions.  Over the polynomial ring
-the divisions are exact by the Bareiss minor identity; over the field
-targets they are ordinary field divisions.
+Both elimination paths pick the first nonzero entry of the leftmost
+remaining column as pivot, so they are deterministic and exact.
+
+* Over the polynomial ring (the generic target) and for ``det``,
+  ``int_det`` and ``minor_gcd``, elimination is one-step fraction-free
+  (Bareiss): every update divides by the previous pivot, and the Bareiss
+  minor identity makes that division exact.  Entries stay polynomials
+  (or integers) whose size is bounded by the minors they equal.
+* Over the field targets (number fields, Q and Z/p) ``rank`` runs plain
+  Gaussian elimination: one field division per eliminated row gives the
+  multiplier, and each entry then costs one product and one difference.
+  Bareiss would instead divide every updated entry by the previous
+  pivot, and in a number field each division is an extended Euclid,
+  far dearer than a product.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from .fields import RationalFunctionField
 from .poly import Poly, gcd_primitive
 
 
@@ -103,12 +113,14 @@ def _over_target(m: Matrix, target) -> Matrix:
 
 
 def rank(m: Matrix, target) -> int:
-    """Exact rank over the target field via fraction-free elimination.
+    """Exact rank over the target: fraction-free over the polynomial
+    ring, Gaussian over the field targets (see the module docstring).
 
     Polynomial entries are pushed through the target's ring map first.
     """
     m = _over_target(m, target)
     rows = [list(r) for r in m.rows]
+    fraction_free = isinstance(target, RationalFunctionField)
     nr, nc = m.nrows, m.ncols
     rk = 0
     prev = None
@@ -121,12 +133,20 @@ def rank(m: Matrix, target) -> int:
         if pivot_row is None:
             continue
         rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
-        p = rows[rk][col]
+        prow = rows[rk]
+        p = prow[col]
         for r in range(rk + 1, nr):
-            head = rows[r][col]
-            for c in range(col + 1, nc):
-                num = rows[r][c] * p - head * rows[rk][c]
-                rows[r][c] = num if prev is None else target.div(num, prev)
+            row = rows[r]
+            head = row[col]
+            if fraction_free:
+                for c in range(col + 1, nc):
+                    num = row[c] * p - head * prow[c]
+                    row[c] = num if prev is None else target.div(num, prev)
+            elif head:
+                f = target.div(head, p)
+                for c in range(col + 1, nc):
+                    if prow[c]:
+                        row[c] = row[c] - f * prow[c]
         prev = p
         rk += 1
         if rk == nr:
@@ -199,8 +219,6 @@ def minor_gcd(m: Matrix, r: int) -> Poly:
         return Poly.one()
     if r > min(m.nrows, m.ncols):
         return Poly.zero()
-    from .fields import RationalFunctionField
-
     target = RationalFunctionField()
     g = Poly.zero()
     for row_idx in itertools.combinations(range(m.nrows), r):

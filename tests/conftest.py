@@ -4,6 +4,14 @@ through the full pytest listing."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 _CRITERIA: dict[int, tuple[str, str]] = {}
 
 _LABELS = {
@@ -41,3 +49,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"criterion {num} ({_LABELS.get(num, 'unnamed')}): {label}"
         )
+
+
+@pytest.fixture()
+def bench_workloads(monkeypatch):
+    """The benchmark's ``bench/workloads.py``, loaded by path (it imports
+    its sibling ``zpoly``), for tests that check CLI operations against
+    the benchmark's closed-form oracle."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", module)
+    spec.loader.exec_module(module)
+    return module

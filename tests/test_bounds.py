@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +25,7 @@ from formzeros.errors import (
     IsAlgebraicInteger,
     SchemaError,
 )
-from formzeros.fields import AlgebraicNumberSpec, NumberField
+from formzeros.fields import AlgebraicNumberSpec, NumberField, RationalFunctionField
 from formzeros.generators import random_complex
 from formzeros.matrix import Matrix
 from formzeros.poly import Poly
@@ -270,6 +267,11 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _generic_ranks(calls):
+    """The matrices of the generic-rank calls in a ``matrix_rank`` call list."""
+    return [m for m, target in calls if isinstance(target, RationalFunctionField)]
+
+
 @pytest.mark.parametrize(
     "cx, boundaries, root_fields",
     [
@@ -281,41 +283,45 @@ def _count_calls(monkeypatch, name):
 )
 def test_all_jump_points_computes_shared_facts_once(monkeypatch, cx, boundaries, root_fields):
     minor_gcds = _count_calls(monkeypatch, "minor_gcd")
+    ranks = _count_calls(monkeypatch, "matrix_rank")
     bettis = _count_calls(monkeypatch, "betti")
     splits = _count_calls(monkeypatch, "split_squarefree")
     all_jump_points(cx)
     assert len(minor_gcds) == boundaries
+    # each boundary's generic rank once, and no generic Betti vector
+    generic = _generic_ranks(ranks)
+    assert len(generic) == len(ranks) == cx.top_degree
+    assert {id(m) for m in generic} == {id(cx.boundary(i)) for i in range(1, cx.top_degree + 1)}
     targets = [target for _, target in bettis]
-    number_fields = [t for t in targets if isinstance(t, NumberField)]
-    assert len(targets) == 1 + root_fields
-    assert len(number_fields) == len(set(number_fields)) == root_fields
+    assert all(isinstance(t, NumberField) for t in targets)
+    assert len(targets) == len(set(targets)) == root_fields
     assert len({sq for sq, _ in splits}) == len(splits)
 
 
 def test_jump_points_alone_computes_its_own_facts(monkeypatch):
     minor_gcds = _count_calls(monkeypatch, "minor_gcd")
+    ranks = _count_calls(monkeypatch, "matrix_rank")
     bettis = _count_calls(monkeypatch, "betti")
     cx = _shared_factor_complex()
+    d1, d2 = cx.boundary(1), cx.boundary(2)
+    per_call = []
     for j in range(cx.top_degree + 1):
+        before = len(ranks)
         jump_points(cx, j)
-    # degree 1 reads both boundaries, degrees 0 and 2 one each
+        per_call.append([id(m) for m in _generic_ranks(ranks[before:])])
+    # each call ranks the boundaries it reads once: degree 1 reads both,
+    # degrees 0 and 2 one each
+    assert per_call == [[id(d1)], [id(d1), id(d2)], [id(d2)]]
     assert len(minor_gcds) == 4
-    # one generic vector per call, plus one root field per factor
-    assert len(bettis) == 3 + 2 + 2 + 1
+    # one root field per factor, and no generic Betti vector
+    assert all(isinstance(t, NumberField) for _, t in bettis)
+    assert len(bettis) == 2 + 2 + 1
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def test_jumps_match_benchmark_oracle(monkeypatch, tmp_path):
+def test_jumps_match_benchmark_oracle(bench_workloads, tmp_path):
     """The first jump-loci chunk of the benchmark, checked against its
     closed-form expected outputs."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)
-    spec.loader.exec_module(workloads)
-    ops = workloads.JumpLoci("201", str(tmp_path)).chunk(0)
+    ops = bench_workloads.JumpLoci("201", str(tmp_path)).chunk(0)
     assert len(ops) == 16
     for op in ops:
         out = io.StringIO()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -223,3 +225,16 @@ def test_example_jump_report_matches_jumps(capsys, tmp_path, matrix):
     code, jumps_out, _ = run(capsys, ["jumps", "-c", path])
     assert code == 0
     assert report == jumps_out
+
+
+def test_twist_sweep_matches_benchmark_oracle(bench_workloads, tmp_path):
+    """The first 40 twist-sweep operations of the benchmark (``bounds``
+    and ``compare-ideals`` over number fields and Z/p), checked against
+    their closed-form expected outputs."""
+    ops = bench_workloads.TwistSweep("201", str(tmp_path)).chunk(0)[:40]
+    assert len(ops) == 40
+    for op in ops:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(op.argv)
+        assert (code, out.getvalue()) == op.expect, op.argv

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -145,3 +146,57 @@ def test_rank_semicontinuity():
         generic = rank(m, RFF)
         for tgt in targets:
             assert rank(m, tgt) <= generic
+
+
+def _vanishes_at(minor: Poly, target) -> bool:
+    """Whether a Z[t] polynomial maps to zero in a field target."""
+    if isinstance(target, NumberField):
+        return divmod(minor, target.modulus)[1].is_zero()
+    if isinstance(target, PrimeField):
+        return minor.constant_term % target.p == 0
+    return minor.constant_term == 0
+
+
+# irreducible moduli of degree 1-3, several not monic over Z
+_DIFFERENTIAL_MODULI = ["t - 2", "3*t + 1", "t^2 + 1", "2*t^2 + t + 1",
+                        "t^2 - 2", "t^3 - 2", "2*t^3 + t + 1"]
+# diagonal factors that vanish at some of the targets below
+_DIFFERENTIAL_PIVOTS = _DIFFERENTIAL_MODULI + ["1", "t", "2", "3", "5", "6*t + 15"]
+
+
+def test_rank_over_fields_matches_minors():
+    """Rank over every field target is the size of the largest minor
+    that does not vanish there.
+
+    Each matrix is A * D * B with D diagonal over factors that vanish at
+    some target, so the ranks drop differently from target to target.
+    """
+    rng = random.Random(6021)
+    targets = ([NumberField(Poly.parse(m)) for m in _DIFFERENTIAL_MODULI]
+               + [Rationals()] + [PrimeField(p) for p in (2, 3, 5)])
+    drops = 0
+    for _ in range(40):
+        nr, nc, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = Matrix(nr, k, [[Poly([rng.randint(-2, 2) for _ in range(2)])
+                            for _ in range(k)] for _ in range(nr)])
+        d = Matrix(k, k, [[Poly.parse(rng.choice(_DIFFERENTIAL_PIVOTS)) if i == j
+                           else Poly.zero() for j in range(k)] for i in range(k)])
+        b = Matrix(k, nc, [[Poly([rng.randint(-2, 2) for _ in range(2)])
+                            for _ in range(nc)] for _ in range(k)])
+        m = a.mul(d).mul(b)
+        minors = {
+            r: [det(m.submatrix(ri, ci), RFF)
+                for ri in itertools.combinations(range(nr), r)
+                for ci in itertools.combinations(range(nc), r)]
+            for r in range(1, min(nr, nc) + 1)
+        }
+        generic = rank(m, RFF)
+        for tgt in targets:
+            expected = max(
+                (r for r, ms in minors.items()
+                 if any(not _vanishes_at(x, tgt) for x in ms)),
+                default=0,
+            )
+            assert rank(m, tgt) == expected, (m, tgt)
+            drops += expected < generic
+    assert drops  # the targets do see rank drops
