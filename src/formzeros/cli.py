@@ -15,9 +15,16 @@ import argparse
 import json
 import sys
 
-from .bounds import all_jump_points, classify, jump_points, zero_bounds
+from .bounds import (
+    all_jump_points,
+    classify,
+    jump_points,
+    select_prime,
+    zero_bounds,
+)
 from .complexes import (
     ChainComplex,
+    _require_admissible_prime,
     betti,
     dominates,
     specialization_order_check,
@@ -38,14 +45,7 @@ from .errors import (
     InvariantViolation,
     SchemaError,
 )
-from .fields import (
-    AlgebraicNumberSpec,
-    FieldTarget,
-    NumberField,
-    PrimeField,
-    Rationals,
-    RationalFunctionField,
-)
+from .fields import AlgebraicNumberSpec, FieldTarget, PrimeField, Rationals
 from .poly import Poly
 
 EXIT_OK = 0
@@ -72,11 +72,10 @@ def _load_complex(args) -> ChainComplex:
 def _parse_target(spec: str) -> FieldTarget:
     """Target syntax for ``betti --at``: where the variable goes.
 
-    transcendental | root:POLY | rat:p/q | int:n | zero | zero:p
+    zero | zero:p, or a number spec (transcendental | root:POLY |
+    rat:p/q | int:n) that the variable is sent to
     """
     spec = spec.strip()
-    if spec == "transcendental":
-        return RationalFunctionField()
     if spec == "zero":
         return Rationals()
     if spec.startswith("zero:"):
@@ -88,13 +87,8 @@ def _parse_target(spec: str) -> FieldTarget:
             return PrimeField(p)
         except ValueError as exc:
             raise DomainRefusal(str(exc)) from None
-    if spec.startswith("root:"):
-        return NumberField(
-            AlgebraicNumberSpec.from_minpoly_text(spec[5:]).minpoly
-        )
-    if spec.startswith(("rat:", "int:")):
-        a = AlgebraicNumberSpec.parse(spec)
-        return NumberField(a.minpoly)
+    if spec == "transcendental" or spec.startswith(("root:", "rat:", "int:")):
+        return AlgebraicNumberSpec.parse(spec).field_target()
     raise SchemaError(
         f"unrecognised target {spec!r} (expected transcendental, root:POLY, "
         "rat:p/q, int:n, zero, or zero:p)"
@@ -154,7 +148,7 @@ def cmd_bounds(args) -> int:
     a = AlgebraicNumberSpec.parse(args.a)
     report = zero_bounds(cx, a, args.dim_e)
     if args.prime is not None:
-        _check_prime_override(a, args.prime)
+        _require_admissible_prime(a, args.prime)
         report = _override_prime(report, args.prime)
     lines = [
         f"a: {report.a}",
@@ -173,20 +167,6 @@ def cmd_bounds(args) -> int:
     ]
     _emit(args, lines, report.to_json_dict())
     return EXIT_OK
-
-
-def _check_prime_override(a: AlgebraicNumberSpec, p: int) -> None:
-    try:
-        PrimeField(p)
-    except ValueError as exc:
-        raise DomainRefusal(str(exc)) from None
-    if a.is_algebraic:
-        free = a.inverse().primitive_minpoly().constant_term
-        if free % p != 0:
-            raise DomainRefusal(
-                f"prime {p} does not divide the free term {free} of the "
-                "reciprocal's minimal polynomial; not admissible"
-            )
 
 
 def _override_prime(report, p: int):
@@ -263,16 +243,7 @@ def cmd_verify_order(args) -> int:
 def cmd_compare_ideals(args) -> int:
     cx = _load_complex(args)
     a = AlgebraicNumberSpec.parse(args.a)
-    if args.prime is not None:
-        p = args.prime
-        try:
-            PrimeField(p)
-        except ValueError as exc:
-            raise DomainRefusal(str(exc)) from None
-    else:
-        from .bounds import select_prime
-
-        p = select_prime(a).p
+    p = args.prime if args.prime is not None else select_prime(a).p
     rep = specialization_order_check(cx, a, p)
     lines = [
         f"ideal {rep.ideal_at_inverse} inside {rep.boundary_ideal}: containment ok",

@@ -21,6 +21,7 @@ from .fields import (
     FieldTarget,
     PrimeField,
     RationalFunctionField,
+    is_prime,
 )
 from .matrix import Matrix, rank as matrix_rank
 from .poly import Poly
@@ -155,9 +156,6 @@ class BettiVector:
     def poincare(self) -> Poly:
         return Poly(self.entries)
 
-    def total(self) -> int:
-        return sum(self.entries)
-
 
 def betti(cx: ChainComplex, target: FieldTarget) -> BettiVector:
     """Betti numbers over the target by rank-nullity.
@@ -241,31 +239,44 @@ class SpecializationOrderReport:
         }
 
 
-def specialization_order_check(
-    cx: ChainComplex, a: AlgebraicNumberSpec, p: int
-) -> SpecializationOrderReport:
-    """Check that the mod-p Betti data dominates the data at 1/a.
+def _require_admissible_prime(a: AlgebraicNumberSpec, p: int) -> None:
+    """Refuse p unless the vanishing ideal of 1/a lies inside (p, t).
 
-    Precondition: the vanishing ideal of 1/a must sit inside (p, t),
-    i.e. the free term of the primitive minimal polynomial of 1/a must
-    be divisible by p (vacuous for transcendental a).  Under that
-    containment the domination is a theorem; a False verdict therefore
-    flags an implementation bug and the CLI treats it as one.
+    That holds when p is prime and, for algebraic a, divides the free
+    term of the primitive minimal polynomial of 1/a; the ideal of a
+    transcendental a is zero, so there every prime is admissible.
     """
-    modp_target = PrimeField(p)
+    if not is_prime(p):
+        raise PreconditionViolation(f"{p} is not prime")
     if a.is_algebraic:
         m_inv = a.inverse().primitive_minpoly()
         if m_inv.constant_term % p != 0:
             raise PreconditionViolation(
                 f"ideal ({m_inv.format()}) is not contained in ({p}, t): "
-                f"free term {m_inv.constant_term} is not divisible by {p}"
+                f"prime {p} does not divide the free term "
+                f"{m_inv.constant_term} of the reciprocal's minimal "
+                "polynomial; not admissible"
             )
-        inv_target: FieldTarget = a.field_target(invert=True)
-        ideal_a = f"({m_inv.format()})"
+
+
+def specialization_order_check(
+    cx: ChainComplex, a: AlgebraicNumberSpec, p: int
+) -> SpecializationOrderReport:
+    """Check that the mod-p Betti data dominates the data at 1/a.
+
+    Precondition: p is admissible for a (``_require_admissible_prime``).
+    Under that containment the domination is a theorem; a False verdict
+    therefore flags an implementation bug and the CLI treats it as one.
+    """
+    _require_admissible_prime(a, p)
+    if a.is_algebraic:
+        inv = a.inverse()
+        inv_target: FieldTarget = inv.field_target()
+        ideal_a = f"({inv.primitive_minpoly().format()})"
     else:
         inv_target = RationalFunctionField()
         ideal_a = "(0)"
-    p_modp = poincare(cx, modp_target)
+    p_modp = poincare(cx, PrimeField(p))
     p_inv = poincare(cx, inv_target)
     holds, witness = dominates(p_modp, p_inv)
     return SpecializationOrderReport(

@@ -409,21 +409,19 @@ class BottCheckReport:
 
 
 def bott_inequality_check(
-    components, rhs, p: int | None = None
+    components, rhs: Poly, p: int | None = None
 ) -> BottCheckReport:
     """Compare the component-sum counting polynomial against a Betti
-    polynomial in the divisibility order.
+    polynomial ``rhs`` in the divisibility order.
 
-    The left side is sum over components of t^(index + i) * dims[i];
-    the right side is the Poincare polynomial of ``rhs`` (a BettiVector
-    or a polynomial).  ``p`` records which prime field the component
-    dimensions were taken over; it does not enter the arithmetic.
+    The left side is sum over components of t^(index + i) * dims[i].
+    ``p`` records which prime field the component dimensions were taken
+    over; it does not enter the arithmetic.
     """
     lhs = Poly.zero()
     for comp in components:
         for i, dim in enumerate(comp.dims):
             if dim:
                 lhs = lhs + Poly.monomial(dim, comp.index + i)
-    rhs_poly = rhs.poincare() if isinstance(rhs, BettiVector) else rhs
-    holds, witness = dominates(lhs, rhs_poly)
-    return BottCheckReport(holds=holds, lhs=lhs, rhs=rhs_poly, prime=p, witness=witness)
+    holds, witness = dominates(lhs, rhs)
+    return BottCheckReport(holds=holds, lhs=lhs, rhs=rhs, prime=p, witness=witness)

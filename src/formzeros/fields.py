@@ -39,14 +39,7 @@ IRREDUCIBILITY_CHECK_BUDGET = 50_000
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -481,10 +474,18 @@ class AlgebraicNumberSpec:
         return self.value_if_rational() == 1
 
     def inverse(self) -> "AlgebraicNumberSpec":
-        """Specification of the reciprocal number."""
-        if self.minpoly is None:
-            return AlgebraicNumberSpec.transcendental()
-        return AlgebraicNumberSpec(self.minpoly.reversal().monic())
+        """Specification of the reciprocal number.
+
+        The reversal of an irreducible polynomial with nonzero constant
+        term is irreducible, so the reciprocal inherits this spec's
+        certification (or its warning) and is built without checking
+        or warning again.
+        """
+        rec = AlgebraicNumberSpec.__new__(AlgebraicNumberSpec)
+        rec.minpoly = (
+            None if self.minpoly is None else self.minpoly.reversal().monic()
+        )
+        return rec
 
     def field_target(self, invert: bool = False) -> FieldTarget:
         """Target sending the variable to the number (or its inverse)."""

@@ -1,19 +1,24 @@
 """Dense matrices and exact elimination.
 
-Both elimination paths pick the first nonzero entry of the leftmost
-remaining column as pivot, so they are deterministic and exact.
+One elimination loop serves ``rank``, ``det``, ``int_det`` and (through
+``det``) ``minor_gcd``.  It converts every entry into the target once,
+picks the first nonzero entry of the leftmost remaining column as
+pivot, so it is deterministic and exact, and runs in one of two modes:
 
-* Over the polynomial ring (the generic target) and for ``det``,
-  ``int_det`` and ``minor_gcd``, elimination is one-step fraction-free
-  (Bareiss): every update divides by the previous pivot, and the Bareiss
-  minor identity makes that division exact.  Entries stay polynomials
-  (or integers) whose size is bounded by the minors they equal.
-* Over the field targets (number fields, Q and Z/p) ``rank`` runs plain
-  Gaussian elimination: one field division per eliminated row gives the
-  multiplier, and each entry then costs one product and one difference.
-  Bareiss would instead divide every updated entry by the previous
-  pivot, and in a number field each division is an extended Euclid,
-  far dearer than a product.
+* Fraction-free (Bareiss), for ``rank`` over the polynomial ring (the
+  generic target) and for every determinant: each update divides by
+  the previous pivot, and the Bareiss minor identity makes that
+  division exact.  Entries stay polynomials (or integers) whose size is
+  bounded by the minors they equal, and the last pivot is the
+  determinant up to the sign of the row swaps.  ``det`` therefore
+  returns an element of whichever target it is given, and stops with
+  zero at the first column that has no pivot.
+* Gaussian, for ``rank`` over the field targets (number fields, Q and
+  Z/p): each pivot is inverted once, each eliminated row's multiplier
+  is one product with that inverse, and each entry then costs one
+  product and one difference.  Bareiss would instead divide every
+  updated entry by the previous pivot, and in a number field each
+  division is an extended Euclid, far dearer than a product.
 """
 
 from __future__ import annotations
@@ -69,11 +74,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, {self.rows!r})"
 
-    def map(self, fn) -> "Matrix":
-        return Matrix(
-            self.nrows, self.ncols, [[fn(x) for x in row] for row in self.rows]
-        )
-
     def mul(self, other: "Matrix", zero=None) -> "Matrix":
         """Matrix product; ``zero`` seeds the sums (needed when the
         inner dimension is 0, defaults to the zero polynomial)."""
@@ -106,104 +106,111 @@ class Matrix:
         return all(not x for row in self.rows for x in row)
 
 
-def _over_target(m: Matrix, target) -> Matrix:
-    # polynomial entries go through the target's ring map; other
-    # entries (int_det's integers) are already in the target
-    return m.map(lambda e: target.convert(e) if isinstance(e, Poly) else e)
+class _Integers:
+    """The integers as an elimination target, for ``int_det``."""
+
+    zero = 0
+    one = 1
+
+    @staticmethod
+    def convert(x: int) -> int:
+        return x
+
+    @staticmethod
+    def div(a: int, b: int) -> int:
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("inexact integer division in elimination")
+        return q
 
 
-def rank(m: Matrix, target) -> int:
-    """Exact rank over the target: fraction-free over the polynomial
-    ring, Gaussian over the field targets (see the module docstring).
+_INTEGERS = _Integers()
 
-    Polynomial entries are pushed through the target's ring map first.
+
+def _eliminate(m: Matrix, target, fraction_free: bool):
+    """Row-reduce ``m`` over the target, one column at a time.
+
+    Yields, per column, ``None`` when no row below the pivots found so
+    far is nonzero there, otherwise ``(pivot, swapped)`` once the rows
+    below the pivot are reduced; ``swapped`` tells whether bringing the
+    pivot up exchanged two rows.  Stops once every row holds a pivot.
+    Each entry goes through ``target.convert`` once.
     """
-    m = _over_target(m, target)
-    rows = [list(r) for r in m.rows]
-    fraction_free = isinstance(target, RationalFunctionField)
+    convert = target.convert
+    rows = [[convert(e) for e in row] for row in m.rows]
     nr, nc = m.nrows, m.ncols
     rk = 0
     prev = None
     for col in range(nc):
-        pivot_row = None
+        if rk == nr:
+            return
         for r in range(rk, nr):
             if rows[r][col]:
-                pivot_row = r
                 break
-        if pivot_row is None:
+        else:
+            yield None
             continue
-        rows[rk], rows[pivot_row] = rows[pivot_row], rows[rk]
+        swapped = r != rk
+        if swapped:
+            rows[rk], rows[r] = rows[r], rows[rk]
         prow = rows[rk]
         p = prow[col]
-        for r in range(rk + 1, nr):
-            row = rows[r]
-            head = row[col]
-            if fraction_free:
+        if fraction_free:
+            for row in rows[rk + 1:]:
+                head = row[col]
                 for c in range(col + 1, nc):
                     num = row[c] * p - head * prow[c]
                     row[c] = num if prev is None else target.div(num, prev)
-            elif head:
-                f = target.div(head, p)
-                for c in range(col + 1, nc):
-                    if prow[c]:
-                        row[c] = row[c] - f * prow[c]
-        prev = p
+            prev = p
+        else:
+            inv = None  # inverted on first need: often no row needs it
+            for row in rows[rk + 1:]:
+                head = row[col]
+                if head:
+                    if inv is None:
+                        inv = target.div(target.one, p)
+                    f = head * inv
+                    for c in range(col + 1, nc):
+                        if prow[c]:
+                            row[c] = row[c] - f * prow[c]
         rk += 1
-        if rk == nr:
-            break
-    return rk
+        yield p, swapped
+
+
+def rank(m: Matrix, target) -> int:
+    """Exact rank over the target: the number of pivots, found
+    fraction-free over the polynomial ring and by Gaussian elimination
+    over the field targets (see the module docstring)."""
+    fraction_free = isinstance(target, RationalFunctionField)
+    return sum(1 for step in _eliminate(m, target, fraction_free) if step)
 
 
 def det(m: Matrix, target):
-    """Exact determinant over the target (empty matrix gives one)."""
+    """Exact determinant over the target, as an element of the target
+    (the empty matrix gives one).
+
+    Fraction-free elimination leaves the determinant as the last pivot,
+    up to the sign of the row swaps; a column without a pivot means the
+    determinant is zero, and elimination stops there.
+    """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
+    if m.nrows == 0:
         return target.one
-    m = _over_target(m, target)
-    rows = [list(r) for r in m.rows]
     sign = 1
-    prev = None
-    for k in range(n - 1):
-        pivot_row = None
-        for r in range(k, n):
-            if rows[r][k]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    for step in _eliminate(m, target, fraction_free=True):
+        if step is None:
             return target.zero
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        d, swapped = step
+        if swapped:
             sign = -sign
-        p = rows[k][k]
-        for r in range(k + 1, n):
-            head = rows[r][k]
-            for c in range(k + 1, n):
-                num = rows[r][c] * p - head * rows[k][c]
-                rows[r][c] = num if prev is None else target.div(num, prev)
-        prev = p
-    d = rows[n - 1][n - 1]
     return -d if sign < 0 else d
 
 
 def int_det(rows) -> int:
     """Determinant of an integer matrix, exactly."""
-
-    class _Ints:
-        zero = 0
-        one = 1
-
-        @staticmethod
-        def div(a, b):
-            q, r = divmod(a, b)
-            if r:
-                raise ArithmeticError("inexact integer division in elimination")
-            return q
-
-    rows = [list(r) for r in rows]
     n = len(rows)
-    return det(Matrix(n, n, rows), _Ints)
+    return det(Matrix(n, n, rows), _INTEGERS)
 
 
 def minor_gcd(m: Matrix, r: int) -> Poly:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
+import formzeros.fields
 from formzeros.cli import main
 
 
@@ -157,13 +159,59 @@ def test_compare_ideals(capsys, tmp_path):
     assert "dominates: true" in out
 
 
-def test_compare_ideals_bad_prime_refused(capsys, tmp_path):
-    model = tmp_path / "model.json"
-    main(["example", "trefoil", "--n", "1", "--emit-complex", str(model)])
+@pytest.fixture()
+def trefoil_model(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    assert main(["example", "trefoil", "--n", "1", "--emit-complex", str(path)]) == 0
     capsys.readouterr()
-    code, _, err = run(capsys, ["compare-ideals", "-c", str(model),
-                                "--a", "rat:1/2", "--prime", "7"])
-    assert code == 3
+    return str(path)
+
+
+def test_compare_ideals_bad_prime_refused(capsys, trefoil_model):
+    # 1/a = 2 has minimal polynomial t - 2, and neither prime divides -2
+    for prime in ("5", "7"):
+        code, out, err = run(capsys, ["compare-ideals", "-c", trefoil_model,
+                                      "--a", "rat:1/2", "--prime", prime])
+        assert code == 3 and out == ""
+        assert err.startswith("refused:") and "Traceback" not in err
+        assert "not admissible" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "compare-ideals"])
+def test_composite_prime_override_refused(capsys, trefoil_model, command):
+    code, out, err = run(capsys, [command, "-c", trefoil_model,
+                                  "--a", "rat:1/2", "--prime", "4"])
+    assert code == 3 and out == ""
+    assert "not prime" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "compare-ideals"])
+@pytest.mark.parametrize("spec", ["rat:1/2", "root:2*t^2 + t + 1", "root:3*t^3 - 2"])
+def test_twist_certified_at_most_once_per_run(capsys, trefoil_model, monkeypatch,
+                                              command, spec):
+    """The reciprocal of a certified twist is not certified again."""
+    calls = []
+    certify = formzeros.fields.is_irreducible
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(formzeros.fields, "is_irreducible", counting)
+    code, _, _ = run(capsys, [command, "-c", trefoil_model, "--a", spec])
+    assert code == 0
+    assert len(calls) <= 1
+
+
+def test_uncertified_twist_warns_once_per_bounds_run(capsys, trefoil_model):
+    # t^20 - 2 is beyond the construction-time certification limit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, ["bounds", "-c", trefoil_model,
+                                    "--a", "root:t^20 - 2"])
+    assert code == 0 and "root of t^20 - 2" in out
+    uncertified = [w for w in caught if "not certified" in str(w.message)]
+    assert len(uncertified) == 1
 
 
 def test_bott_check_exit_codes(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import formzeros.fields
 from formzeros.errors import SchemaError
 from formzeros.fields import (
     AlgebraicNumberSpec,
@@ -13,6 +14,8 @@ from formzeros.fields import (
     PrimeField,
     Rationals,
     RationalFunctionField,
+    is_prime,
+    smallest_prime_factor,
 )
 from formzeros.poly import Poly
 
@@ -80,6 +83,27 @@ def test_spec_inverse():
     b = AlgebraicNumberSpec.from_minpoly_text("t^2 - t - 1")
     # 1/b is a root of the reversed polynomial
     assert b.inverse().primitive_minpoly() == Poly((-1, 1, 1))
+
+
+def test_spec_inverse_inherits_certification(monkeypatch):
+    """The reversal of an irreducible polynomial with nonzero constant
+    term is irreducible, so the reciprocal is not certified again."""
+    b = AlgebraicNumberSpec.from_minpoly_text("2*t^3 + t + 1")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reciprocal re-certified")
+
+    monkeypatch.setattr(formzeros.fields, "is_irreducible", refuse)
+    assert b.inverse().primitive_minpoly() == Poly((1, 1, 0, 2)).reversal()
+    assert b.inverse().inverse() == b
+    assert AlgebraicNumberSpec.transcendental().inverse().minpoly is None
+
+
+def test_is_prime_agrees_with_smallest_prime_factor():
+    primes = [n for n in range(-5, 60) if is_prime(n)]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert all(smallest_prime_factor(n) == n for n in primes)
+    assert smallest_prime_factor(91) == 7 and not is_prime(91)
 
 
 def test_spec_is_one():

@@ -64,6 +64,18 @@ def test_rank_needs_column_search():
     assert rank(m, RFF) == 1
 
 
+def _cofactor_det(rows, one):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return one
+    total = one - one
+    for j, head in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = head * _cofactor_det(minor, one)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def test_det_bareiss_matches_cofactor():
     rng = random.Random(31)
     for _ in range(30):
@@ -71,19 +83,59 @@ def test_det_bareiss_matches_cofactor():
         rows = [[Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 2))])
                  for _ in range(n)] for _ in range(n)]
         m = Matrix(n, n, rows)
+        assert det(m, RFF) == _cofactor_det([list(r) for r in m.rows], Poly.one())
 
-        def cofactor_det(rs):
-            k = len(rs)
-            if k == 1:
-                return rs[0][0]
-            total = Poly.zero()
-            for j in range(k):
-                minor = [row[:j] + row[j + 1:] for row in rs[1:]]
-                term = rs[0][j] * cofactor_det(minor)
-                total = total + term if j % 2 == 0 else total - term
-            return total
 
-        assert det(m, RFF) == cofactor_det([list(r) for r in m.rows])
+def _awkward_square(rng, n, entry):
+    """A random n x n matrix, sometimes made singular (a row repeated
+    or a column zeroed, the first one included) or made to need a row
+    swap at the first pivot."""
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    shape = rng.choice(["plain", "repeated row", "zero column", "zero lead"])
+    if n == 0:
+        return rows
+    if n >= 2 and shape == "repeated row":
+        rows[rng.randrange(1, n)] = list(rows[0])
+    elif shape == "zero column":
+        col = rng.choice([0, rng.randrange(n)])
+        for row in rows:
+            row[col] = entry() * 0
+    elif shape == "zero lead":
+        rows[0][0] = entry() * 0
+    return rows
+
+
+def test_det_and_int_det_match_cofactor_over_z_and_zt():
+    rng = random.Random(7207)
+    for _ in range(60):
+        n = rng.randint(0, 5)
+        ints = _awkward_square(rng, n, lambda: rng.randint(-4, 4))
+        assert int_det(ints) == _cofactor_det(ints, 1)
+        polys = _awkward_square(
+            rng, n, lambda: Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        )
+        assert det(Matrix(n, n, polys), RFF) == _cofactor_det(polys, Poly.one())
+    assert int_det([]) == 1
+    assert det(Matrix(0, 0, []), RFF) == Poly.one()
+    assert int_det([[0, 0], [3, 4]]) == 0
+    assert int_det([[0, 2], [3, 4]]) == -6
+
+
+def test_det_over_field_targets_matches_cofactor():
+    """Over a number field, Q or Z/p, ``det`` gives the determinant over
+    Z[t] mapped into the target."""
+    rng = random.Random(5081)
+    targets = [NumberField(Poly.parse(m)) for m in ("t - 2", "2*t^2 + t + 1", "t^3 - 2")]
+    targets += [Rationals(), PrimeField(2), PrimeField(5)]
+    for _ in range(40):
+        n = rng.randint(0, 4)
+        rows = _awkward_square(
+            rng, n, lambda: Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        )
+        m = Matrix(n, n, rows)
+        expected = _cofactor_det(rows, Poly.one())
+        for tgt in targets:
+            assert det(m, tgt) == tgt.convert(expected), (rows, tgt)
 
 
 def test_det_sign_under_row_swap_pivoting():
