@@ -7,11 +7,21 @@ invariant), 2 malformed input, 3 refusal on mathematical grounds.
 Output is deterministic: same inputs, same bytes.  ``--format json``
 swaps the ASCII tables for a single JSON document with stable key
 order.
+
+Repeated ``main`` calls in one process reuse what does not depend on
+the arguments: the argument parser, built on the first call, and the
+complexes loaded from ``-c`` / ``-p`` files.  Every call reads its
+file afresh; the validated ``ChainComplex`` is then looked up by
+(input kind, file text) in an LRU of ``COMPLEX_CACHE_SIZE`` entries,
+so identical bytes give the same object (with the Betti vectors that
+``complexes.betti`` has memoised on it) and edited bytes are parsed
+and validated anew.  Input errors are never cached.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,6 +63,10 @@ EXIT_INVARIANT = 1
 EXIT_PARSE = 2
 EXIT_REFUSAL = 3
 
+# Distinct complex files kept loaded, enough for a sweep that cycles
+# through a dozen inputs.
+COMPLEX_CACHE_SIZE = 16
+
 
 def _read_file(path: str) -> str:
     try:
@@ -64,9 +78,17 @@ def _read_file(path: str) -> str:
 
 def _load_complex(args) -> ChainComplex:
     if getattr(args, "complex", None):
-        return ChainComplex.from_json(_read_file(args.complex))
-    pres = GroupRingPresentation.from_json(_read_file(args.presentation))
-    return build_deformation(pres)
+        return _complex_from_text("complex", _read_file(args.complex))
+    return _complex_from_text("presentation", _read_file(args.presentation))
+
+
+@functools.lru_cache(maxsize=COMPLEX_CACHE_SIZE)
+def _complex_from_text(kind: str, text: str) -> ChainComplex:
+    """The validated complex of a file's text; a raised error leaves
+    no entry behind."""
+    if kind == "complex":
+        return ChainComplex.from_json(text)
+    return build_deformation(GroupRingPresentation.from_json(text))
 
 
 def _parse_target(spec: str) -> FieldTarget:
@@ -425,10 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` on the first call, the same parser after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

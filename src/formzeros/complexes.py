@@ -7,6 +7,11 @@ at a field target and counting pivot ranks gives the Betti numbers by
 rank-nullity; everything downstream (Poincare polynomials, the
 divisibility partial order on them, the two-ideal comparison) happens
 on those exact integers.
+
+A complex is immutable, so ``betti`` memoises its answer on the
+complex, keyed by the target (targets compare by value): each field
+target's ranks are computed once per complex, however many callers ask.
+The memo keeps the ``BETTI_MEMO_SIZE`` most recently added targets.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ RING_TAG = "Z[t]"
 
 _ONE_PLUS_T = Poly((1, 1))
 
+BETTI_MEMO_SIZE = 64
+
 
 class ChainComplex:
     """Ranks plus boundary matrices with polynomial entries."""
 
-    __slots__ = ("ranks", "boundaries")
+    __slots__ = ("ranks", "boundaries", "_betti")
 
     def __init__(self, ranks, boundaries):
         ranks = tuple(int(r) for r in ranks)
@@ -53,6 +60,7 @@ class ChainComplex:
                 )
         self.ranks = ranks
         self.boundaries = boundaries
+        self._betti = {}  # FieldTarget -> BettiVector, filled by betti()
 
     @property
     def top_degree(self) -> int:
@@ -161,8 +169,12 @@ def betti(cx: ChainComplex, target: FieldTarget) -> BettiVector:
     """Betti numbers over the target by rank-nullity.
 
     b_i = ranks[i] - rank(d_i) - rank(d_{i+1}) with the off-end
-    boundaries read as zero.
+    boundaries read as zero.  Memoised on the complex per target.
     """
+    memo = cx._betti
+    bv = memo.get(target)
+    if bv is not None:
+        return bv
     m = cx.top_degree
     bd_ranks = [0] * (m + 2)
     for i in range(1, m + 1):
@@ -170,7 +182,11 @@ def betti(cx: ChainComplex, target: FieldTarget) -> BettiVector:
     entries = tuple(
         cx.ranks[i] - bd_ranks[i] - bd_ranks[i + 1] for i in range(m + 1)
     )
-    return BettiVector(entries, target.describe())
+    bv = BettiVector(entries, target.describe())
+    if len(memo) >= BETTI_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[target] = bv
+    return bv
 
 
 def poincare(cx: ChainComplex, target: FieldTarget) -> Poly:

@@ -5,12 +5,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 import formzeros.fields
+from formzeros import cli
 from formzeros.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(formzeros.__file__)))
 
 
 @pytest.fixture()
@@ -281,8 +287,115 @@ def test_twist_sweep_matches_benchmark_oracle(bench_workloads, tmp_path):
     their closed-form expected outputs."""
     ops = bench_workloads.TwistSweep("201", str(tmp_path)).chunk(0)[:40]
     assert len(ops) == 40
-    for op in ops:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(op.argv)
-        assert (code, out.getvalue()) == op.expect, op.argv
+    # the second pass reuses the loaded complexes and their Betti vectors
+    for _ in range(2):
+        hits = cli._complex_from_text.cache_info().hits
+        for op in ops:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(op.argv)
+            assert (code, out.getvalue()) == op.expect, op.argv
+    assert cli._complex_from_text.cache_info().hits - hits == len(ops)
+
+
+# -- large primes ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "-c", "{cx}", "--at", "zero:{p}"],
+    ["bounds", "-c", "{cx}", "--a", "rat:1/2", "--prime", "{p}"],
+    ["compare-ideals", "-c", "{cx}", "--a", "rat:1/2", "--prime", "{p}"],
+])
+def test_prime_past_certified_range_refused(capsys, trefoil_model, argv):
+    # 2^89 - 1 is prime, but beyond what the Miller-Rabin bases decide
+    argv = [a.format(cx=trefoil_model, p=2**89 - 1) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("refused:") and "cannot certify" in err
+    assert "Traceback" not in err
+
+
+def test_large_prime_target_finishes(torus_file):
+    p = 10**18 + 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "formzeros.cli", "betti", "-c", torus_file,
+         "--at", f"zero:{p}"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"target: prime field Z/{p} (t = 0)\n")
+
+
+# -- reuse within a process -------------------------------------------
+
+
+def test_parser_built_lazily_and_once():
+    script = (
+        "import sys\n"
+        "calls = []\n"
+        "def count(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == 'build_parser':\n"
+        "        calls.append(frame.f_code.co_filename)\n"
+        "sys.setprofile(count)\n"
+        "import formzeros.cli as cli\n"
+        "at_import = len(calls)\n"
+        "for _ in range(5):\n"
+        "    cli.main(['verify-order', '--lhs', '1,1', '--rhs', '1'])\n"
+        "    cli.main(['bott-check', '--bogus'])\n"
+        "sys.setprofile(None)\n"
+        "print(at_import, len(calls))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=30, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1"
+
+
+def _complex_text(entry: str) -> str:
+    return json.dumps({"ring": "Z[t]", "ranks": [1, 1], "boundaries": [[[entry]]]})
+
+
+def test_rewritten_complex_file_is_reloaded(capsys, tmp_path):
+    path = tmp_path / "cx.json"
+    argv = ["betti", "-c", str(path), "--at", "int:2"]
+    path.write_text(_complex_text("t - 2"))
+    assert run(capsys, argv)[:2] == (0, "target: evaluation at t = 2\nb0=1 b1=1\neuler = 0\n")
+    # same length, same file name, new complex
+    path.write_text(_complex_text("t - 3"))
+    assert run(capsys, argv)[:2] == (0, "target: evaluation at t = 2\nb0=0 b1=0\neuler = 0\n")
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("{not json", 2, "error: invalid JSON"),
+    (json.dumps({"ring": "Z[t]", "ranks": [1, 1, 1], "boundaries": [[["t"]], [["t"]]]}),
+     1, "invariant violated: d_1 composed with d_2"),
+])
+def test_bad_complex_file_fails_on_every_call(capsys, tmp_path, text, code, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    before = cli._complex_from_text.cache_info().currsize
+    for _ in range(3):
+        got, out, err = run(capsys, ["betti", "-c", str(path), "--at", "zero"])
+        assert (got, out) == (code, "")
+        assert err.startswith(message)
+    assert cli._complex_from_text.cache_info().currsize == before
+
+
+def test_complex_cache_stays_at_its_bound(capsys, tmp_path):
+    cli._complex_from_text.cache_clear()
+    bound = cli.COMPLEX_CACHE_SIZE
+    paths = []
+    for k in range(bound + 3):
+        paths.append(tmp_path / f"cx{k}.json")
+        paths[-1].write_text(_complex_text(f"t - {k + 2}"))
+        assert run(capsys, ["betti", "-c", str(paths[-1]), "--at", "int:2"])[0] == 0
+    info = cli._complex_from_text.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (bound, bound + 3, 0)
+    # the same bytes under another name are served from the cache
+    copy = tmp_path / "copy.json"
+    copy.write_text(paths[-1].read_text())
+    assert run(capsys, ["betti", "-c", str(copy), "--at", "int:2"])[0] == 0
+    assert cli._complex_from_text.cache_info().hits == 1

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import formzeros.complexes
 from formzeros.complexes import (
     ChainComplex,
     betti,
@@ -29,6 +30,7 @@ from formzeros.fields import (
     Rationals,
     RationalFunctionField,
 )
+from formzeros.generators import random_complex
 from formzeros.matrix import Matrix
 from formzeros.poly import Poly
 
@@ -112,6 +114,71 @@ def test_euler_characteristic_target_independent():
                NumberField(Poly((-1, 1))), NumberField(Poly((1, 1, 1)))]
     vals = {euler_characteristic(cx, t) for t in targets}
     assert vals == {sum((-1) ** i * r for i, r in enumerate(cx.ranks))}
+
+
+# -- the per-target Betti memo ---------------------------------------
+
+
+@pytest.fixture()
+def rank_calls(monkeypatch):
+    """Targets of every ``matrix_rank`` call that ``betti`` makes."""
+    calls = []
+    rank = formzeros.complexes.matrix_rank
+
+    def counting(m, target):
+        calls.append(target)
+        return rank(m, target)
+
+    monkeypatch.setattr(formzeros.complexes, "matrix_rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: NumberField(Poly.parse("t^2 - t + 1")),
+    lambda: PrimeField(5),
+])
+def test_betti_memo_shared_by_equal_targets(rank_calls, make):
+    cx = _cx((1, 2, 1), [[["t - 1", "0"]], [["0"], ["t + 1"]]])
+    first, second = make(), make()
+    assert first is not second and first == second
+    assert betti(cx, first) == betti(cx, second)
+    assert len(rank_calls) == cx.top_degree
+
+
+@pytest.mark.parametrize("targets, expected", [
+    ((PrimeField(2), PrimeField(3)), ((1, 1), (0, 0))),
+    ((NumberField(Poly.parse("t - 1")), NumberField(Poly.parse("t - 2"))),
+     ((0, 0), (1, 1))),
+])
+def test_betti_memo_keeps_distinct_targets_apart(rank_calls, targets, expected):
+    # d_1 = [2t - 4] vanishes mod 2 and at t = 2 only
+    cx = _cx((1, 1), [[["2*t - 4"]]])
+    for _ in range(2):
+        assert tuple(betti(cx, t).entries for t in targets) == expected
+    assert len(rank_calls) == 2 * cx.top_degree
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_betti_memo_matches_fresh_computation(seed):
+    rng = random.Random(seed)
+    cx = random_complex(rng, max_modules=4, max_rank=4)
+    targets = [RationalFunctionField(), Rationals(), PrimeField(2), PrimeField(3),
+               NumberField(Poly.parse("t - 1")), NumberField(Poly.parse("t^2 + 1"))]
+    for target in targets + targets[::-1]:
+        memoised = betti(cx, target)
+        fresh = betti(ChainComplex(cx.ranks, cx.boundaries), target)
+        assert memoised == fresh
+
+
+def test_betti_memo_is_bounded(rank_calls):
+    cx = _cx((1, 1), [[["t - 1"]]])
+    extra = 3
+    for k in range(formzeros.complexes.BETTI_MEMO_SIZE + extra):
+        betti(cx, NumberField(Poly((-k, 1))))
+    assert len(cx._betti) == formzeros.complexes.BETTI_MEMO_SIZE
+    # the oldest entries were dropped and are computed again
+    betti(cx, NumberField(Poly((0, 1))))
+    assert len(rank_calls) == formzeros.complexes.BETTI_MEMO_SIZE + extra + 1
 
 
 # -- the divisibility order ------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import formzeros.fields
-from formzeros.errors import SchemaError
+from formzeros.errors import PreconditionViolation, SchemaError
 from formzeros.fields import (
     AlgebraicNumberSpec,
     NumberField,
@@ -104,6 +104,29 @@ def test_is_prime_agrees_with_smallest_prime_factor():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert all(smallest_prime_factor(n) == n for n in primes)
     assert smallest_prime_factor(91) == 7 and not is_prime(91)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # ... to every prime base up to 23
+    318665857834031151167461,  # ... to every prime base up to 37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 10**18 + 3, 10**18 + 9])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+    assert not is_prime(n * 3)
+
+
+def test_is_prime_refuses_past_the_certified_range():
+    assert not is_prime(formzeros.fields.PRIME_CERTIFY_LIMIT - 1)  # even, in range
+    with pytest.raises(PreconditionViolation, match="cannot certify"):
+        is_prime(2**89 - 1)
+    with pytest.raises(PreconditionViolation):
+        PrimeField(formzeros.fields.PRIME_CERTIFY_LIMIT)
 
 
 def test_spec_is_one():
