@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import ChainComplex, betti
+from .complexes import ChainComplex, _require_admissible_prime, betti
 from .deformation import specialize_at_class
 from .errors import (
     DirichletUnitRefusal,
@@ -131,16 +131,18 @@ class BoundsReport:
 
 
 def zero_bounds(
-    cx: ChainComplex, a: AlgebraicNumberSpec, dim_e: int
+    cx: ChainComplex, a: AlgebraicNumberSpec, dim_e: int, prime: int | None = None
 ) -> BoundsReport:
     """Bounds c_j >= b_j / dim E from the complex specialised at 1/a.
 
     Refuses a twist that is a unit among the algebraic integers: there
     the twisted homology can vanish for all nearby classes and no such
-    bound holds.  The integer ceilings are a sharpening this tool adds
-    on top of the exact rational bounds (zero counts are integers); the
-    strong bounds are the alternating partial sums, whose degree-j and
-    degree-(j-1) values add back up to the weak bound.
+    bound holds.  A caller's ``prime`` is checked admissible for a and
+    then replaces ``select_prime``, which is not run.  The integer
+    ceilings are a sharpening this tool adds on top of the exact
+    rational bounds (zero counts are integers); the strong bounds are
+    the alternating partial sums, whose degree-j and degree-(j-1)
+    values add back up to the weak bound.
     """
     if dim_e < 1:
         raise SchemaError("dim E must be a positive integer")
@@ -151,6 +153,8 @@ def zero_bounds(
             f"{cls.primitive_minpoly.format()}); the lower bounds fail for "
             "such twists and are refused"
         )
+    if prime is not None:
+        _require_admissible_prime(a, prime)
     bv = specialize_at_class(cx, a, "xi")
     weak = tuple(Fraction(b, dim_e) for b in bv.entries)
     ceilings = tuple(-((-b) // dim_e) for b in bv.entries)
@@ -159,15 +163,15 @@ def zero_bounds(
     for w in weak:
         s = w - s
         strong.append(s)
-    if a.is_algebraic:
-        ideal_a = f"({a.inverse().primitive_minpoly().format()})"
-        if cls.is_algebraic_integer:
-            sel = select_prime(a.inverse())
-            sel = PrimeSelection(sel.p, sel.reason + " (via the reciprocal)")
-        else:
-            sel = select_prime(a)
+    ideal_a = (
+        f"({a.inverse().primitive_minpoly().format()})" if a.is_algebraic else "(0)"
+    )
+    if prime is not None:
+        sel = PrimeSelection(prime, "caller override")
+    elif cls.is_algebraic_integer:
+        sel = select_prime(a.inverse())
+        sel = PrimeSelection(sel.p, sel.reason + " (via the reciprocal)")
     else:
-        ideal_a = "(0)"
         sel = select_prime(a)
     return BoundsReport(
         a=a.describe(),
@@ -224,11 +228,7 @@ class JumpReport:
 
 
 def jump_points(
-    cx: ChainComplex,
-    degree: int,
-    max_factor_degree: int = 8,
-    *,
-    _shared: dict | None = None,
+    cx: ChainComplex, degree: int, max_factor_degree: int = 8
 ) -> JumpReport:
     """Candidate and confirmed jump loci for one homological degree.
 
@@ -238,17 +238,17 @@ def jump_points(
     ``max_factor_degree`` are confirmed by re-specialising the complex
     at their root field; anything larger stays unconfirmed.
 
-    ``_shared`` carries the degree-independent facts between the calls
-    of one ``all_jump_points``; a call on its own computes each once.
+    Every degree-independent fact (a boundary's generic rank and minor
+    gcd, the split of a candidate, the Betti vector at a root field) is
+    kept in the complex's memo, so calls on one complex share them.
     """
     m = cx.top_degree
     if not 0 <= degree <= m:
         raise SchemaError(f"degree {degree} outside 0..{m}")
-    memo = {} if _shared is None else _shared
     rff = RationalFunctionField()
     # generic ranks of d_j and d_{j+1}; off-end boundaries are zero
     ranks = {
-        i: _once(memo, ("rank", i), lambda: matrix_rank(cx.boundary(i), rff))
+        i: cx.memo(("rank", i), lambda: matrix_rank(cx.boundary(i), rff))
         for i in (degree, degree + 1)
         if 1 <= i <= m
     }
@@ -257,20 +257,18 @@ def jump_points(
     for i, r in ranks.items():
         # a boundary that vanishes generically lowers no Betti number
         if r:
-            g = _once(memo, ("minor_gcd", i), lambda: minor_gcd(cx.boundary(i), r))
+            g = cx.memo(("minor_gcd", i), lambda: minor_gcd(cx.boundary(i), r))
             candidate = candidate * g
     candidate = candidate.strip_powers()[1].primitive()
     sq = radical(candidate)
     factors: list[JumpFactor] = []
     if sq.degree >= 1:
-        irreducible, unresolved = _once(
-            memo, ("split", sq), lambda: split_squarefree(sq, max_factor_degree)
+        irreducible, unresolved = cx.memo(
+            ("split", sq, max_factor_degree),
+            lambda: tuple(map(tuple, split_squarefree(sq, max_factor_degree))),
         )
         for f in irreducible:
-            root = f.monic()
-            value = _once(
-                memo, ("betti", root), lambda: betti(cx, NumberField(root))
-            )[degree]
+            value = betti(cx, NumberField(f.monic()))[degree]
             status = "confirmed" if value > generic_b else "rejected"
             factors.append(JumpFactor(f, status, value))
         for f in unresolved:
@@ -283,27 +281,13 @@ def jump_points(
     )
 
 
-def _once(memo: dict, key, compute):
-    """``memo[key]``, calling ``compute()`` to fill it on first use."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def all_jump_points(
     cx: ChainComplex, max_factor_degree: int = 8
 ) -> list[JumpReport]:
-    """``jump_points`` for every degree, computing each shared fact once.
+    """``jump_points`` for every degree.
 
     Degree j reads d_j and d_{j+1}, so each boundary serves two
-    degrees, and one root field can confirm factors in several.  The
-    calls therefore share one memo holding each boundary's generic rank
-    (the generic Betti numbers follow from these by rank-nullity) and
-    minor gcd, the factor split of each square-free candidate and the
-    Betti vector at each root field.
+    degrees, and one root field can confirm factors in several; the
+    complex's memo computes each such fact once.
     """
-    shared: dict = {}
-    return [
-        jump_points(cx, j, max_factor_degree, _shared=shared)
-        for j in range(cx.top_degree + 1)
-    ]
+    return [jump_points(cx, j, max_factor_degree) for j in range(cx.top_degree + 1)]

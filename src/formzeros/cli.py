@@ -13,8 +13,8 @@ the arguments: the argument parser, built on the first call, and the
 complexes loaded from ``-c`` / ``-p`` files.  Every call reads its
 file afresh; the validated ``ChainComplex`` is then looked up by
 (input kind, file text) in an LRU of ``COMPLEX_CACHE_SIZE`` entries,
-so identical bytes give the same object (with the Betti vectors that
-``complexes.betti`` has memoised on it) and edited bytes are parsed
+so identical bytes give the same object (with the facts memoised on it:
+Betti vectors and jump data) and edited bytes are parsed
 and validated anew.  Input errors are never cached.
 """
 
@@ -34,9 +34,9 @@ from .bounds import (
 )
 from .complexes import (
     ChainComplex,
-    _require_admissible_prime,
     betti,
     dominates,
+    euler_characteristic,
     specialization_order_check,
 )
 from .deformation import (
@@ -152,7 +152,7 @@ def cmd_betti(args) -> int:
     cx = _load_complex(args)
     target = _parse_target(args.at)
     bv = betti(cx, target)
-    euler = sum((-1) ** i * b for i, b in enumerate(bv.entries))
+    euler = euler_characteristic(cx, target)
     _emit(
         args,
         [
@@ -168,10 +168,7 @@ def cmd_betti(args) -> int:
 def cmd_bounds(args) -> int:
     cx = _load_complex(args)
     a = AlgebraicNumberSpec.parse(args.a)
-    report = zero_bounds(cx, a, args.dim_e)
-    if args.prime is not None:
-        _require_admissible_prime(a, args.prime)
-        report = _override_prime(report, args.prime)
+    report = zero_bounds(cx, a, args.dim_e, args.prime)
     lines = [
         f"a: {report.a}",
         f"classification: {_classification_phrase(report.classification)}",
@@ -189,17 +186,6 @@ def cmd_bounds(args) -> int:
     ]
     _emit(args, lines, report.to_json_dict())
     return EXIT_OK
-
-
-def _override_prime(report, p: int):
-    from dataclasses import replace
-
-    return replace(
-        report,
-        prime=p,
-        prime_reason="caller override",
-        boundary_ideal=f"({p}, t)",
-    )
 
 
 def _jump_lines(reports) -> list:

@@ -8,10 +8,14 @@ rank-nullity; everything downstream (Poincare polynomials, the
 divisibility partial order on them, the two-ideal comparison) happens
 on those exact integers.
 
-A complex is immutable, so ``betti`` memoises its answer on the
-complex, keyed by the target (targets compare by value): each field
-target's ranks are computed once per complex, however many callers ask.
-The memo keeps the ``BETTI_MEMO_SIZE`` most recently added targets.
+A complex is immutable, so every fact derived from it is certified
+once and kept in its one memo, ``ChainComplex.memo``.  The memo holds
+the Betti vector over each field target (key ``("betti", target)``;
+targets compare by value) and, for ``bounds.jump_points``, each
+boundary's generic rank (``("rank", i)``) and minor gcd
+(``("minor_gcd", i)``) and the factor split of each square-free jump
+candidate (``("split", candidate, max_factor_degree)``).  It keeps the
+``MEMO_SIZE`` most recently added facts.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ RING_TAG = "Z[t]"
 
 _ONE_PLUS_T = Poly((1, 1))
 
-BETTI_MEMO_SIZE = 64
+MEMO_SIZE = 64
 
 
 class ChainComplex:
     """Ranks plus boundary matrices with polynomial entries."""
 
-    __slots__ = ("ranks", "boundaries", "_betti")
+    __slots__ = ("ranks", "boundaries", "_memo")
 
     def __init__(self, ranks, boundaries):
         ranks = tuple(int(r) for r in ranks)
@@ -60,7 +64,7 @@ class ChainComplex:
                 )
         self.ranks = ranks
         self.boundaries = boundaries
-        self._betti = {}  # FieldTarget -> BettiVector, filled by betti()
+        self._memo = {}  # fact key -> value, filled through memo()
 
     @property
     def top_degree(self) -> int:
@@ -75,6 +79,18 @@ class ChainComplex:
         if i == self.top_degree + 1:
             return Matrix.zeros(self.ranks[-1], 0, Poly.zero())
         raise IndexError(f"no boundary in degree {i}")
+
+    def memo(self, key, compute):
+        """The fact under ``key``, calling ``compute()`` on first use;
+        the oldest fact is dropped once ``MEMO_SIZE`` are held."""
+        memo = self._memo
+        if key in memo:
+            return memo[key]
+        value = compute()
+        if len(memo) >= MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = value
+        return value
 
     def validate(self) -> None:
         """Check d o d = 0 over Z[t]; name the first bad degree."""
@@ -171,22 +187,18 @@ def betti(cx: ChainComplex, target: FieldTarget) -> BettiVector:
     b_i = ranks[i] - rank(d_i) - rank(d_{i+1}) with the off-end
     boundaries read as zero.  Memoised on the complex per target.
     """
-    memo = cx._betti
-    bv = memo.get(target)
-    if bv is not None:
-        return bv
-    m = cx.top_degree
-    bd_ranks = [0] * (m + 2)
-    for i in range(1, m + 1):
-        bd_ranks[i] = matrix_rank(cx.boundary(i), target)
-    entries = tuple(
-        cx.ranks[i] - bd_ranks[i] - bd_ranks[i + 1] for i in range(m + 1)
-    )
-    bv = BettiVector(entries, target.describe())
-    if len(memo) >= BETTI_MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[target] = bv
-    return bv
+
+    def compute() -> BettiVector:
+        m = cx.top_degree
+        bd_ranks = [0] * (m + 2)
+        for i in range(1, m + 1):
+            bd_ranks[i] = matrix_rank(cx.boundary(i), target)
+        entries = tuple(
+            cx.ranks[i] - bd_ranks[i] - bd_ranks[i + 1] for i in range(m + 1)
+        )
+        return BettiVector(entries, target.describe())
+
+    return cx.memo(("betti", target), compute)
 
 
 def poincare(cx: ChainComplex, target: FieldTarget) -> Poly:

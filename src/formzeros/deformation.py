@@ -295,7 +295,6 @@ def specialize_at_class(
 
 
 TREFOIL_ALEXANDER = Poly((1, -1, 1))  # t^2 - t + 1
-TREFOIL_MONODROMY = ((0, -1), (1, 1))
 
 
 def alexander_block_complex(n: int) -> ChainComplex:

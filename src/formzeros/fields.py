@@ -8,10 +8,12 @@ Four targets cover every specialisation the pipeline performs:
 * ``Rationals`` -- send the variable to 0 over Q;
 * ``PrimeField(p)`` -- send the variable to 0 over Z/p.
 
-A target knows how to convert an integer polynomial into one of its
-elements and how to divide elements (exactly), which is all the
-elimination code needs.  Elements test false exactly when they are
-zero, so a uniform ``not x`` suffices as the zero test.
+Elements implement only what elimination calls: ``*``, binary ``-``
+and truth (false exactly when zero, so ``not x`` is the zero test).
+Everything else goes through the target: ``convert`` maps an integer
+polynomial to an element, ``div`` divides exactly, and ``one`` and
+``zero`` are its constants.  Elements of two different fields do not
+mix.
 
 A number-field element is its coefficient vector modulo the modulus m
 of degree k.  The field keeps a table of the reductions of t^k, t^(k+1),
@@ -106,26 +108,11 @@ class NumberFieldElement:
         )
 
     def _check(self, other) -> "NumberFieldElement":
-        if isinstance(other, NumberFieldElement):
-            if other.field is not self.field and other.field.modulus != self.field.modulus:
-                raise ValueError("elements of different number fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return NumberFieldElement(self.field, (other,))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        if not isinstance(other, NumberFieldElement):
             return NotImplemented
-        return NumberFieldElement(
-            self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NumberFieldElement(self.field, [-a for a in self.coeffs])
+        if other.field is not self.field and other.field.modulus != self.field.modulus:
+            raise ValueError("elements of different number fields")
+        return other
 
     def __sub__(self, other):
         other = self._check(other)
@@ -134,9 +121,6 @@ class NumberFieldElement:
         return NumberFieldElement(
             self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._check(other)
@@ -148,8 +132,6 @@ class NumberFieldElement:
                 for j, b in enumerate(other.coeffs):
                     prod[i + j] += a * b
         return self.field._fold(prod)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElement":
         """Extended-Euclid inverse modulo the (irreducible) modulus."""
@@ -166,21 +148,6 @@ class NumberFieldElement:
                 f"element shares a factor with the modulus {self.field.modulus}"
             )
         return self.field.reduce(s0 * (Fraction(1) / Fraction(r0.constant_term)))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field.modulus, self.coeffs))
 
     def __bool__(self):
         return any(c != 0 for c in self.coeffs)
@@ -199,24 +166,11 @@ class PrimeFieldElement:
         self.value = value % p
 
     def _check(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError("elements of different prime fields")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
+        if not isinstance(other, PrimeFieldElement):
             return NotImplemented
-        return PrimeFieldElement(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PrimeFieldElement(self.p, -self.value)
+        if other.p != self.p:
+            raise ValueError("elements of different prime fields")
+        return other
 
     def __sub__(self, other):
         other = self._check(other)
@@ -224,33 +178,11 @@ class PrimeFieldElement:
             return NotImplemented
         return PrimeFieldElement(self.p, self.value - other.value)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         return PrimeFieldElement(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError(f"division by zero in Z/{self.p}")
-        return PrimeFieldElement(self.p, self.value * pow(other.value, -1, self.p))
-
-    def __eq__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash((self.p, self.value))
 
     def __bool__(self):
         return self.value != 0
@@ -344,6 +276,9 @@ class NumberField(FieldTarget):
 
     convert = reduce
 
+    def div(self, a: NumberFieldElement, b: NumberFieldElement) -> NumberFieldElement:
+        return a * b.inverse()
+
     def describe(self) -> str:
         if self.degree == 1:
             return f"evaluation at t = {-self.modulus.constant_term}"
@@ -385,6 +320,11 @@ class PrimeField(FieldTarget):
         if not isinstance(c, int):
             raise ValueError("prime-field specialisation needs integer input")
         return PrimeFieldElement(self.p, c)
+
+    def div(self, a: PrimeFieldElement, b: PrimeFieldElement) -> PrimeFieldElement:
+        if not b:
+            raise ZeroDivisionError(f"division by zero in Z/{self.p}")
+        return a * PrimeFieldElement(self.p, pow(b.value, -1, self.p))
 
     def describe(self) -> str:
         return f"prime field Z/{self.p} (t = 0)"
@@ -502,9 +442,6 @@ class AlgebraicNumberSpec:
         if self.minpoly is not None and self.minpoly.degree == 1:
             return Fraction(-self.minpoly.constant_term)
         return None
-
-    def is_one(self) -> bool:
-        return self.value_if_rational() == 1
 
     def inverse(self) -> "AlgebraicNumberSpec":
         """Specification of the reciprocal number.

@@ -204,7 +204,7 @@ def det(m: Matrix, target):
         d, swapped = step
         if swapped:
             sign = -sign
-    return -d if sign < 0 else d
+    return target.zero - d if sign < 0 else d
 
 
 def int_det(rows) -> int:

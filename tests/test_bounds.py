@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import formzeros.bounds
+import formzeros.complexes
 from formzeros import cli
 from formzeros.bounds import (
     all_jump_points,
@@ -272,6 +273,21 @@ def _generic_ranks(calls):
     return [m for m, target in calls if isinstance(target, RationalFunctionField)]
 
 
+@pytest.fixture()
+def betti_ranks(monkeypatch):
+    """``(matrix, target)`` of every ``matrix_rank`` call that
+    ``complexes.betti`` makes."""
+    calls = []
+    rank = formzeros.complexes.matrix_rank
+
+    def counting(m, target):
+        calls.append((m, target))
+        return rank(m, target)
+
+    monkeypatch.setattr(formzeros.complexes, "matrix_rank", counting)
+    return calls
+
+
 @pytest.mark.parametrize(
     "cx, boundaries, root_fields",
     [
@@ -281,10 +297,11 @@ def _generic_ranks(calls):
         (ChainComplex((1, 1, 1), [Matrix.zeros(1, 1, Poly.zero())] * 2), 0, 0),
     ],
 )
-def test_all_jump_points_computes_shared_facts_once(monkeypatch, cx, boundaries, root_fields):
+def test_all_jump_points_computes_shared_facts_once(monkeypatch, betti_ranks, cx,
+                                                   boundaries, root_fields):
+    cx = ChainComplex(cx.ranks, cx.boundaries)  # same boundaries, empty memo
     minor_gcds = _count_calls(monkeypatch, "minor_gcd")
     ranks = _count_calls(monkeypatch, "matrix_rank")
-    bettis = _count_calls(monkeypatch, "betti")
     splits = _count_calls(monkeypatch, "split_squarefree")
     all_jump_points(cx)
     assert len(minor_gcds) == boundaries
@@ -292,16 +309,20 @@ def test_all_jump_points_computes_shared_facts_once(monkeypatch, cx, boundaries,
     generic = _generic_ranks(ranks)
     assert len(generic) == len(ranks) == cx.top_degree
     assert {id(m) for m in generic} == {id(cx.boundary(i)) for i in range(1, cx.top_degree + 1)}
-    targets = [target for _, target in bettis]
-    assert all(isinstance(t, NumberField) for t in targets)
-    assert len(targets) == len(set(targets)) == root_fields
+    # each root field ranks each boundary once
+    assert all(isinstance(t, NumberField) for _, t in betti_ranks)
+    assert len({t for _, t in betti_ranks}) == root_fields
+    assert len(betti_ranks) == root_fields * cx.top_degree
+    assert len({(id(m), t) for m, t in betti_ranks}) == len(betti_ranks)
     assert len({sq for sq, _ in splits}) == len(splits)
 
 
-def test_jump_points_alone_computes_its_own_facts(monkeypatch):
+def test_lone_jump_points_calls_share_facts(monkeypatch, betti_ranks):
+    """Separate ``jump_points`` calls on one complex compute no fact
+    twice: the complex's memo carries them from call to call."""
     minor_gcds = _count_calls(monkeypatch, "minor_gcd")
     ranks = _count_calls(monkeypatch, "matrix_rank")
-    bettis = _count_calls(monkeypatch, "betti")
+    splits = _count_calls(monkeypatch, "split_squarefree")
     cx = _shared_factor_complex()
     d1, d2 = cx.boundary(1), cx.boundary(2)
     per_call = []
@@ -309,13 +330,30 @@ def test_jump_points_alone_computes_its_own_facts(monkeypatch):
         before = len(ranks)
         jump_points(cx, j)
         per_call.append([id(m) for m in _generic_ranks(ranks[before:])])
-    # each call ranks the boundaries it reads once: degree 1 reads both,
-    # degrees 0 and 2 one each
-    assert per_call == [[id(d1)], [id(d1), id(d2)], [id(d2)]]
-    assert len(minor_gcds) == 4
-    # one root field per factor, and no generic Betti vector
-    assert all(isinstance(t, NumberField) for _, t in bettis)
-    assert len(bettis) == 2 + 2 + 1
+    # degree 1 reads both boundaries, but degree 0 has ranked d_1 already
+    assert per_call == [[id(d1)], [id(d2)], []]
+    assert [id(m) for m, _ in minor_gcds] == [id(d1), id(d2)]
+    # the candidates f*g (degrees 0 and 1) and f (degree 2), split once each
+    assert [sq for sq, _ in splits] == [Poly((-1, 2, -1, 2)), Poly((1, 0, 1))]
+    # two root fields, each ranking both boundaries once
+    assert len({t for _, t in betti_ranks}) == 2
+    assert len({(id(m), t) for m, t in betti_ranks}) == len(betti_ranks) == 2 * 2
+    # the same calls again compute nothing
+    counts = (len(minor_gcds), len(ranks), len(splits), len(betti_ranks))
+    again = [jump_points(cx, j) for j in range(cx.top_degree + 1)]
+    assert (len(minor_gcds), len(ranks), len(splits), len(betti_ranks)) == counts
+    assert again == all_jump_points(ChainComplex(cx.ranks, cx.boundaries))
+
+
+def test_split_memo_keyed_by_max_factor_degree(monkeypatch):
+    """A split under one factor-degree limit is not served for another."""
+    splits = _count_calls(monkeypatch, "split_squarefree")
+    cx = _shared_factor_complex()
+    low = jump_points(cx, 2, max_factor_degree=0)
+    high = jump_points(cx, 2)
+    assert [sq for sq, _ in splits] == [Poly((1, 0, 1))] * 2
+    assert [f.status for f in low.factors] == ["unconfirmed"]
+    assert [f.status for f in high.factors] == ["confirmed"]
 
 
 def test_jumps_match_benchmark_oracle(bench_workloads, tmp_path):

@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+import formzeros.bounds
 import formzeros.fields
 from formzeros import cli
 from formzeros.cli import main
@@ -327,7 +328,40 @@ def test_large_prime_target_finishes(torus_file):
     assert proc.stdout.startswith(f"target: prime field Z/{p} (t = 0)\n")
 
 
+def test_prime_override_skips_prime_selection(torus_file):
+    """With --prime, bounds never factors the twist's leading
+    coefficient, so a large prime lead does not stall it."""
+    p = 10**18 + 3
+    proc = subprocess.run(
+        [sys.executable, "-m", "formzeros.cli", "bounds", "-c", torus_file,
+         "--a", f"rat:1/{p}", "--prime", str(p)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"prime: {p} (caller override)\n" in proc.stdout
+
+
 # -- reuse within a process -------------------------------------------
+
+
+def test_repeated_jumps_reuse_the_complex_facts(capsys, torus_file, monkeypatch):
+    """A second ``jumps`` run on the same file finds the minor gcds and
+    generic ranks in the loaded complex's memo."""
+    cli._complex_from_text.cache_clear()
+    calls = []
+    for name in ("minor_gcd", "matrix_rank"):  # bounds ranks generically only
+        def counting(*args, _fn=getattr(formzeros.bounds, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(formzeros.bounds, name, counting)
+    first = run(capsys, ["jumps", "-c", torus_file])
+    assert first[0] == 0 and "[confirmed]" in first[1]
+    assert sorted(set(calls)) == ["matrix_rank", "minor_gcd"]
+    del calls[:]
+    assert run(capsys, ["jumps", "-c", torus_file]) == first
+    assert calls == []
 
 
 def test_parser_built_lazily_and_once():

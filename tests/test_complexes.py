@@ -173,12 +173,12 @@ def test_betti_memo_matches_fresh_computation(seed):
 def test_betti_memo_is_bounded(rank_calls):
     cx = _cx((1, 1), [[["t - 1"]]])
     extra = 3
-    for k in range(formzeros.complexes.BETTI_MEMO_SIZE + extra):
+    for k in range(formzeros.complexes.MEMO_SIZE + extra):
         betti(cx, NumberField(Poly((-k, 1))))
-    assert len(cx._betti) == formzeros.complexes.BETTI_MEMO_SIZE
+    assert len(cx._memo) == formzeros.complexes.MEMO_SIZE
     # the oldest entries were dropped and are computed again
     betti(cx, NumberField(Poly((0, 1))))
-    assert len(rank_calls) == formzeros.complexes.BETTI_MEMO_SIZE + extra + 1
+    assert len(rank_calls) == formzeros.complexes.MEMO_SIZE + extra + 1
 
 
 # -- the divisibility order ------------------------------------------
