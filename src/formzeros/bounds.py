@@ -22,13 +22,8 @@ from .errors import (
     IsAlgebraicInteger,
     SchemaError,
 )
-from .factor import split_squarefree
-from .fields import (
-    AlgebraicNumberSpec,
-    NumberField,
-    RationalFunctionField,
-    smallest_prime_factor,
-)
+from .factor import smallest_prime_factor, split_squarefree
+from .fields import AlgebraicNumberSpec, NumberField, RationalFunctionField
 from .matrix import minor_gcd, rank as matrix_rank
 from .poly import Poly, radical
 

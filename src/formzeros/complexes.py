@@ -25,13 +25,8 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import ComplexAxiomViolation, PreconditionViolation, SchemaError
-from .fields import (
-    AlgebraicNumberSpec,
-    FieldTarget,
-    PrimeField,
-    RationalFunctionField,
-    is_prime,
-)
+from .factor import is_prime
+from .fields import AlgebraicNumberSpec, FieldTarget, PrimeField, RationalFunctionField
 from .matrix import Matrix, rank as matrix_rank
 from .poly import Poly
 

@@ -1,37 +1,174 @@
-"""Bounded factorisation of integer polynomials.
+"""Bounded factorisation of integers and integer polynomials.
 
-Only what the pipeline needs: rational-root stripping plus a Kronecker
-interpolation search for factors of degree >= 2.  The search is exact
-and deterministic, but it is a small-degree tool -- callers pass a
-degree cap (8 by default) and a work budget (covering both divisor
-enumeration and interpolation candidates), and anything that cannot be
-certified within those limits is handed back unresolved rather than
-guessed at.
+Integers factor by trial division over the primes below
+``_TRIAL_DIVISION_BOUND``, then deterministic Miller-Rabin (``is_prime``)
+and Brent's variant of Pollard rho on what is left.  Miller-Rabin
+decides only below ``PRIME_CERTIFY_LIMIT``, so a cofactor at or past it
+is refused (``PreconditionViolation``) rather than searched; below it,
+rho's expected work grows with the fourth root of the cofactor.
+
+Polynomials: only what the pipeline needs, rational-root stripping plus
+a Kronecker interpolation search for factors of degree >= 2.  The search
+is exact and deterministic, but it is a small-degree tool -- callers
+pass a degree cap (8 by default) and a work budget (covering both
+divisor enumeration and interpolation candidates), and anything that
+cannot be certified within those limits is handed back unresolved
+rather than guessed at.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
+from .errors import PreconditionViolation
 from .poly import Poly, gcd_primitive
 
 DEFAULT_MAX_DEGREE = 8
 DEFAULT_BUDGET = 400_000
 
+# Miller-Rabin with the first 13 primes as bases decides primality
+# exactly below PRIME_CERTIFY_LIMIT, the least strong pseudoprime to all
+# of them (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CERTIFY_LIMIT = 3_317_044_064_679_887_385_961_981
+
+_TRIAL_DIVISION_BOUND = 1000
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return tuple(i for i in range(n) if sieve[i])
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_DIVISION_BOUND)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n >= PRIME_CERTIFY_LIMIT,
+    where these bases no longer decide."""
+    if n < 2:
+        return False
+    if n >= PRIME_CERTIFY_LIMIT:
+        raise PreconditionViolation(
+            f"cannot certify whether {n} is prime (certified only below "
+            f"{PRIME_CERTIFY_LIMIT})"
+        )
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below
+    ``_TRIAL_DIVISION_BOUND``: Brent's cycle search on x -> x^2 + c from
+    2, batching 128 differences per gcd, with c = 1, 2, ... until a run
+    does not close on n itself."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _trial_division(n: int) -> tuple[list[int], int]:
+    """Trial division of n >= 1 by the primes below
+    ``_TRIAL_DIVISION_BOUND``: the prime factors it settles, with
+    multiplicity and ascending, and the cofactor left, which is 1 or
+    free of those primes and at least the bound's square."""
+    found = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            found.append(p)
+            n //= p
+    if 1 < n < _TRIAL_DIVISION_BOUND ** 2:
+        found.append(n)
+        n = 1
+    return found, n
+
+
+def _rho_factors(n: int) -> list[int]:
+    """The prime factors, with multiplicity and ascending, of a cofactor
+    left by ``_trial_division``."""
+    found, work = [], [n] if n > 1 else []
+    while work:
+        m = work.pop()
+        if m < _TRIAL_DIVISION_BOUND ** 2 or is_prime(m):
+            found.append(m)
+        else:
+            d = _rho(m)
+            work += [d, m // d]
+    return sorted(found)
+
+
+def prime_factors(n: int) -> list[int]:
+    """The prime factors of |n|, with multiplicity and ascending (none
+    for 0 and +-1).  Raises PreconditionViolation when what trial
+    division leaves is at least PRIME_CERTIFY_LIMIT."""
+    small, rest = _trial_division(abs(n))
+    return small + _rho_factors(rest)
+
+
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n, |n| >= 2; a prime found by trial
+    division settles it without factoring the cofactor."""
+    n = abs(n)
+    if n < 2:
+        raise ValueError(f"{n} has no prime factor")
+    small, rest = _trial_division(n)
+    return small[0] if small else _rho_factors(rest)[0]
+
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """The positive divisors of n, ascending (none for 0)."""
+    if n == 0:
+        return []
+    divs = [1]
+    for p, group in itertools.groupby(prime_factors(n)):
+        powers = [p ** e for e in range(1, len(list(group)) + 1)]
+        divs += [d * q for d in divs for q in powers]
+    return sorted(divs)
 
 
 def _rational_roots(p: Poly) -> list[Fraction]:

@@ -30,63 +30,14 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .errors import PreconditionViolation, SchemaError
-from .factor import is_irreducible
+from .errors import SchemaError
+from .factor import is_irreducible, is_prime
 from .poly import Poly
 
 IRREDUCIBILITY_CHECK_LIMIT = 8
 # construction-time certification is advisory, so it gets a small work
 # budget; callers wanting a deep search should factor explicitly
 IRREDUCIBILITY_CHECK_BUDGET = 50_000
-
-
-# Miller-Rabin with the first 13 primes as bases decides primality
-# exactly below PRIME_CERTIFY_LIMIT, the least strong pseudoprime to all
-# of them (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_CERTIFY_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; refuses n >= PRIME_CERTIFY_LIMIT,
-    where these bases no longer decide."""
-    if n < 2:
-        return False
-    if n >= PRIME_CERTIFY_LIMIT:
-        raise PreconditionViolation(
-            f"cannot certify whether {n} is prime (certified only below "
-            f"{PRIME_CERTIFY_LIMIT})"
-        )
-    for q in _MILLER_RABIN_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def smallest_prime_factor(n: int) -> int:
-    n = abs(n)
-    if n < 2:
-        raise ValueError(f"{n} has no prime factor")
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 class NumberFieldElement:

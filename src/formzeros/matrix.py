@@ -1,9 +1,9 @@
 """Dense matrices and exact elimination.
 
-One elimination loop serves ``rank``, ``det``, ``int_det`` and (through
-``det``) ``minor_gcd``.  It converts every entry into the target once,
-picks the first nonzero entry of the leftmost remaining column as
-pivot, so it is deterministic and exact, and runs in one of two modes:
+One elimination loop serves ``rank``, ``det`` and ``int_det``.  It
+converts every entry into the target once, picks the first nonzero
+entry of the leftmost remaining column as pivot, so it is deterministic
+and exact, and runs in one of two modes:
 
 * Fraction-free (Bareiss), for ``rank`` over the polynomial ring (the
   generic target) and for every determinant: each update divides by
@@ -19,11 +19,26 @@ pivot, so it is deterministic and exact, and runs in one of two modes:
   product and one difference.  Bareiss would instead divide every
   updated entry by the previous pivot, and in a number field each
   division is an extended Euclid, far dearer than a product.
+
+``minor_gcd`` does not enumerate the C(n, r)^2 minors of an n x n
+matrix.  It first compresses the matrix: row echelon form, then row
+echelon form of the transpose of the nonzero rows, both by row steps
+that are invertible over Q[t] (swaps, ``a*row - b*t^s*other_row`` with
+a a nonzero integer, division by an integer content).  Left
+multiplication by an invertible matrix over Q[t] keeps the gcd of the
+r x r minors up to a rational unit, since each new minor is a Q[t]
+combination of the old ones (Cauchy-Binet) and the inverse gives the
+converse; transposing keeps it too.  What is left is a k x k matrix, k
+the generic rank, and ``det`` takes the minors of that: one
+determinant when r = k, as for every boundary the pipeline asks about.
+This is the determinantal-divisor route of Kannan and Bachem (1979) and
+Storjohann (2000), stopped before the Smith form.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .fields import RationalFunctionField
 from .poly import Poly, gcd_primitive
@@ -213,24 +228,81 @@ def int_det(rows) -> int:
     return det(Matrix(n, n, rows), _INTEGERS)
 
 
+def _echelon(rows, ncols: int) -> list:
+    """Row echelon form by steps invertible over Q[t], on integer
+    coefficient lists (ascending powers, ``[]`` for zero).
+
+    Each column runs Euclid: the entry of lowest degree is the pivot,
+    and every other row with an entry e of no lower degree becomes
+    ``a*row - b*t^s*pivot_row`` (``a = lc(pivot)/g``, ``b = lc(e)/g``, g
+    their gcd, s the degree gap) until e falls below the pivot's degree,
+    then sheds its integer content; this repeats until the column holds
+    one nonzero entry.  Among pivots of equal degree the one of smallest
+    leading coefficient keeps the multipliers a, and so the coefficient
+    growth, small.  Returns the nonzero rows, pivots moving right.
+    """
+    rows = [list(row) for row in rows]
+    rk = 0
+    for col in range(ncols):
+        while True:
+            live = [i for i in range(rk, len(rows)) if rows[i][col]]
+            if not live:
+                break
+            top = min(live, key=lambda i: (len(rows[i][col]), abs(rows[i][col][-1])))
+            rows[rk], rows[top] = rows[top], rows[rk]
+            if len(live) == 1:
+                rk += 1
+                break
+            prow = rows[rk]
+            dp, lp = len(prow[col]), prow[col][-1]
+            for row in rows[rk + 1:]:
+                if len(row[col]) < dp:
+                    continue
+                while len(row[col]) >= dp:
+                    lead = row[col][-1]
+                    g = math.gcd(lp, lead)
+                    a, b, s = lp // g, lead // g, len(row[col]) - dp
+                    for c in range(col, ncols):
+                        x = [a * v for v in row[c]]
+                        y = prow[c]
+                        if y:
+                            x.extend([0] * (len(y) + s - len(x)))
+                            for j, v in enumerate(y, s):
+                                x[j] -= b * v
+                            while x and not x[-1]:
+                                x.pop()
+                        row[c] = x
+                content = math.gcd(*(v for entry in row[col:] for v in entry))
+                if content > 1:
+                    row[col:] = [[v // content for v in entry] for entry in row[col:]]
+    return rows[:rk]
+
+
 def minor_gcd(m: Matrix, r: int) -> Poly:
-    """Content-normalised gcd of all r x r minors of a polynomial matrix.
+    """Content-normalised gcd of all r x r minors of an integer
+    polynomial matrix.
 
     The result is primitive with positive leading coefficient; it is the
     zero polynomial when every minor vanishes identically (including the
-    vacuous case r > min(nrows, ncols)), and one when r = 0.
+    vacuous case r > min(nrows, ncols)), and one when r = 0.  The minors
+    are taken of the k x k compression of ``m`` (see the module
+    docstring), k the generic rank, so r = k costs one determinant.
     """
     if r < 0:
         raise ValueError("minor size must be nonnegative")
     if r == 0:
         return Poly.one()
-    if r > min(m.nrows, m.ncols):
+    rows = _echelon([[list(e.coeffs) for e in row] for row in m.rows], m.ncols)
+    k = len(rows)
+    if r > k:
         return Poly.zero()
+    square = _echelon([list(col) for col in zip(*rows)], k)
+    t = Matrix(k, k, [[Poly(e) for e in row] for row in square])
     target = RationalFunctionField()
     g = Poly.zero()
-    for row_idx in itertools.combinations(range(m.nrows), r):
-        for col_idx in itertools.combinations(range(m.ncols), r):
-            d = det(m.submatrix(row_idx, col_idx), target)
+    for row_idx in itertools.combinations(range(k), r):
+        for col_idx in itertools.combinations(range(k), r):
+            d = det(t.submatrix(row_idx, col_idx), target)
             g = gcd_primitive(g, d)
             if g.coeffs == (1,):
                 return g

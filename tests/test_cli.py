@@ -306,9 +306,11 @@ def test_twist_sweep_matches_benchmark_oracle(bench_workloads, tmp_path):
     ["betti", "-c", "{cx}", "--at", "zero:{p}"],
     ["bounds", "-c", "{cx}", "--a", "rat:1/2", "--prime", "{p}"],
     ["compare-ideals", "-c", "{cx}", "--a", "rat:1/2", "--prime", "{p}"],
+    ["bounds", "-c", "{cx}", "--a", "rat:1/{p}"],  # the prime selected from p
 ])
 def test_prime_past_certified_range_refused(capsys, trefoil_model, argv):
-    # 2^89 - 1 is prime, but beyond what the Miller-Rabin bases decide
+    # 2^89 - 1 is prime, but beyond what the Miller-Rabin bases decide,
+    # and has no factor that trial division finds
     argv = [a.format(cx=trefoil_model, p=2**89 - 1) for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
@@ -316,14 +318,17 @@ def test_prime_past_certified_range_refused(capsys, trefoil_model, argv):
     assert "Traceback" not in err
 
 
-def test_large_prime_target_finishes(torus_file):
-    p = 10**18 + 3
-    proc = subprocess.run(
-        [sys.executable, "-m", "formzeros.cli", "betti", "-c", torus_file,
-         "--at", f"zero:{p}"],
+def _run_cli(argv):
+    return subprocess.run(
+        [sys.executable, "-m", "formzeros.cli", *argv],
         capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": SRC},
     )
+
+
+def test_large_prime_target_finishes(torus_file):
+    p = 10**18 + 3
+    proc = _run_cli(["betti", "-c", torus_file, "--at", f"zero:{p}"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"target: prime field Z/{p} (t = 0)\n")
 
@@ -332,14 +337,27 @@ def test_prime_override_skips_prime_selection(torus_file):
     """With --prime, bounds never factors the twist's leading
     coefficient, so a large prime lead does not stall it."""
     p = 10**18 + 3
-    proc = subprocess.run(
-        [sys.executable, "-m", "formzeros.cli", "bounds", "-c", torus_file,
-         "--a", f"rat:1/{p}", "--prime", str(p)],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
+    proc = _run_cli(["bounds", "-c", torus_file, "--a", f"rat:1/{p}", "--prime", str(p)])
     assert proc.returncode == 0, proc.stderr
     assert f"prime: {p} (caller override)\n" in proc.stdout
+
+
+def test_prime_selection_on_a_large_prime_lead_finishes(torus_file):
+    """``bounds`` picks its prime from the twist's leading coefficient;
+    a prime lead of 10^18 + 3 is certified, not trial-divided."""
+    p = 10**18 + 3
+    proc = _run_cli(["bounds", "-c", torus_file, "--a", f"rat:1/{p}"])
+    assert proc.returncode == 0, proc.stderr
+    line = f"prime: {p} (smallest prime dividing the leading coefficient {p})\n"
+    assert line in proc.stdout
+
+
+def test_rational_roots_of_a_large_free_term_finish():
+    """The rational-root search lists the divisors of 10^18 from its
+    factorisation, not by trial division up to 10^9."""
+    proc = _run_cli(["unit-check", "root:t^2 - 1000000000000000000"])
+    assert proc.returncode == 2
+    assert "is reducible" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # -- reuse within a process -------------------------------------------

@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 
-from formzeros.factor import is_irreducible, split_squarefree
+import pytest
+
+from formzeros.errors import PreconditionViolation
+from formzeros.factor import (
+    PRIME_CERTIFY_LIMIT,
+    _divisors,
+    is_irreducible,
+    prime_factors,
+    smallest_prime_factor,
+    split_squarefree,
+)
 from formzeros.poly import Poly, radical
 
 
@@ -74,3 +85,53 @@ def test_random_products_recovered():
         irr, unresolved = split_squarefree(prod)
         assert unresolved == []
         assert sorted(f.coeffs for f in irr) == sorted(f.coeffs for f in set(picks))
+
+
+# -- integers ----------------------------------------------------------
+
+
+def _divisors_by_trial(n):
+    n = abs(n)
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_divisors_match_trial_division():
+    for n in itertools.chain(range(-50, 2000), [2**10 * 3**4, 1009**2, 997 * 1009]):
+        assert _divisors(n) == _divisors_by_trial(n), n
+
+
+@pytest.mark.parametrize("primes", [
+    [2, 2, 3, 997],
+    [1009, 1013],  # the least product trial division cannot split
+    [10**9 + 7] * 2,
+    [100000007] * 3,
+    [1099511640127, 2199023255531],  # two 41-bit primes, near the limit
+    [3, 1000000000000000003],
+])
+def test_prime_factors_by_rho(primes):
+    n = 1
+    for p in primes:
+        n *= p
+    assert n < PRIME_CERTIFY_LIMIT
+    assert prime_factors(n) == primes
+
+
+def test_prime_factors_of_units_zero_and_negatives():
+    assert prime_factors(0) == prime_factors(1) == prime_factors(-1) == []
+    assert prime_factors(-1009 * 1013) == [1009, 1013]
+    assert smallest_prime_factor(-1013 * 1009) == 1009
+    with pytest.raises(ValueError):
+        smallest_prime_factor(1)
+
+
+def test_cofactor_past_the_certified_range():
+    """A cofactor Miller-Rabin cannot decide is refused, unless trial
+    division has already found the least prime."""
+    big = 2**89 - 1  # prime, past PRIME_CERTIFY_LIMIT
+    with pytest.raises(PreconditionViolation, match="cannot certify"):
+        prime_factors(big)
+    with pytest.raises(PreconditionViolation):
+        smallest_prime_factor(big)
+    with pytest.raises(PreconditionViolation):
+        prime_factors(6 * big)
+    assert smallest_prime_factor(6 * big) == 2

@@ -8,14 +8,13 @@ import pytest
 
 import formzeros.fields
 from formzeros.errors import PreconditionViolation, SchemaError
+from formzeros.factor import PRIME_CERTIFY_LIMIT, is_prime, smallest_prime_factor
 from formzeros.fields import (
     AlgebraicNumberSpec,
     NumberField,
     PrimeField,
     Rationals,
     RationalFunctionField,
-    is_prime,
-    smallest_prime_factor,
 )
 from formzeros.poly import Poly
 
@@ -122,11 +121,11 @@ def test_is_prime_accepts_large_primes(n):
 
 
 def test_is_prime_refuses_past_the_certified_range():
-    assert not is_prime(formzeros.fields.PRIME_CERTIFY_LIMIT - 1)  # even, in range
+    assert not is_prime(PRIME_CERTIFY_LIMIT - 1)  # even, in range
     with pytest.raises(PreconditionViolation, match="cannot certify"):
         is_prime(2**89 - 1)
     with pytest.raises(PreconditionViolation):
-        PrimeField(formzeros.fields.PRIME_CERTIFY_LIMIT)
+        PrimeField(PRIME_CERTIFY_LIMIT)
 
 
 # -- field targets ----------------------------------------------------

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+
+import formzeros.matrix
 
 from formzeros.fields import (
     NumberField,
@@ -12,7 +15,7 @@ from formzeros.fields import (
     RationalFunctionField,
 )
 from formzeros.matrix import Matrix, det, int_det, minor_gcd, rank
-from formzeros.poly import Poly
+from formzeros.poly import Poly, gcd_primitive
 
 
 def _pmat(rows):
@@ -258,3 +261,109 @@ def test_rank_over_fields_matches_minors():
             assert rank(m, tgt) == expected, (m, tgt)
             drops += expected < generic
     assert drops  # the targets do see rank drops
+
+
+# -- minor_gcd against the enumeration it replaced ------------------------
+
+
+def _minor_gcd_by_enumeration(m: Matrix, r: int) -> Poly:
+    """Gcd of every r x r minor, each taken by ``det``."""
+    if r == 0:
+        return Poly.one()
+    g = Poly.zero()
+    for ri in itertools.combinations(range(m.nrows), r):
+        for ci in itertools.combinations(range(m.ncols), r):
+            g = gcd_primitive(g, det(m.submatrix(ri, ci), RFF))
+    return g
+
+
+def _random_poly(rng, top=3):
+    return Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, top))])
+
+
+def _planted_product(rng, nr, nc, k):
+    """A * D * B with D diagonal over factors that include 0 and shared
+    roots, then a row or column zeroed now and then."""
+    pivots = _DIFFERENTIAL_PIVOTS + ["0", "t^2 - 4*t + 4"]
+    a = Matrix(nr, k, [[_random_poly(rng) for _ in range(k)] for _ in range(nr)])
+    d = Matrix(k, k, [[Poly.parse(rng.choice(pivots)) if i == j else Poly.zero()
+                       for j in range(k)] for i in range(k)])
+    b = Matrix(k, nc, [[_random_poly(rng) for _ in range(nc)] for _ in range(k)])
+    rows = [list(row) for row in a.mul(d).mul(b).rows]
+    if nr and rng.random() < 0.3:
+        rows[rng.randrange(nr)] = [Poly.zero()] * nc
+    if nc and rng.random() < 0.3:
+        col = rng.randrange(nc)
+        for row in rows:
+            row[col] = Poly.zero()
+    return Matrix(nr, nc, rows)
+
+
+def test_minor_gcd_matches_enumeration():
+    rng = random.Random(9103)
+    nontrivial = 0
+    for _ in range(150):
+        nr, nc, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 5)
+        m = _planted_product(rng, nr, nc, k)
+        for r in range(min(nr, nc) + 2):
+            g = minor_gcd(m, r)
+            assert g == _minor_gcd_by_enumeration(m, r), (m, r)
+            nontrivial += g.degree >= 1
+    assert nontrivial  # the planted factors do show up
+
+
+def test_minor_gcd_degenerate_shapes():
+    for nr, nc in [(0, 0), (0, 3), (3, 0)]:
+        m = Matrix(nr, nc, [[Poly.zero()] * nc for _ in range(nr)])
+        assert minor_gcd(m, 0) == Poly.one()
+        assert minor_gcd(m, 1) == Poly.zero()
+    zero = Matrix.zeros(3, 4, Poly.zero())
+    assert [minor_gcd(zero, r) for r in range(5)] == [Poly.one()] + [Poly.zero()] * 4
+    with pytest.raises(ValueError):
+        minor_gcd(zero, -1)
+
+
+def test_minor_gcd_matches_sympy_invariant_factors():
+    """Over the PID Q[t] the gcd of the r x r minors is the product of
+    the first r invariant factors."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    t = sympy.symbols("t")
+    rng = random.Random(4417)
+    for _ in range(25):
+        nr, nc, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        m = _planted_product(rng, nr, nc, k)
+        sm = sympy.Matrix(nr, nc, lambda i, j: sum(
+            c * t**e for e, c in enumerate(m[i, j].coeffs)))
+        factors = invariant_factors(sm, domain=sympy.QQ[t])
+        for r in range(1, min(nr, nc) + 1):
+            product = sympy.Poly(sympy.Mul(*factors[:r]), t)
+            coeffs = [sympy.Rational(c) for c in reversed(product.all_coeffs())]
+            expected = Poly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+            expected = expected.clear_denominators().primitive()
+            assert minor_gcd(m, r) == expected, (m, r, factors)
+
+
+def test_minor_gcd_takes_one_determinant_at_full_rank(monkeypatch):
+    """A 10 x 10 matrix of rank 5 with a nontrivial gcd compresses to a
+    5 x 5 one, so its maximal minors cost one ``det`` (enumerating them
+    takes C(10, 5)^2 = 63,504)."""
+    rng = random.Random(2113)
+    planted = ["t - 2", "1", "t^2 + 1", "1", "3"]
+    a = [[Poly.one() if i == j else Poly.zero() for j in range(5)] for i in range(5)]
+    a += [[_random_poly(rng, 2) for _ in range(5)] for _ in range(5)]
+    d = [[Poly.parse(planted[i]) if i == j else Poly.zero() for j in range(5)]
+         for i in range(5)]
+    b = [[Poly.one() if i == j else Poly.zero() for j in range(5)]
+         + [_random_poly(rng, 2) for _ in range(5)] for i in range(5)]
+    m = Matrix(10, 5, a).mul(Matrix(5, 5, d)).mul(Matrix(5, 10, b))
+    calls = []
+
+    def counting(*args, _det=formzeros.matrix.det):
+        calls.append(args)
+        return _det(*args)
+
+    monkeypatch.setattr(formzeros.matrix, "det", counting)
+    assert minor_gcd(m, 5) == Poly.parse("t^3 - 2*t^2 + t - 2")  # (t - 2)(t^2 + 1)
+    assert len(calls) == 1
