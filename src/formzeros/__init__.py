@@ -2,7 +2,8 @@
 
 Everything is computed over Z[t] (t the deformation variable) with
 exact arithmetic end to end: exact elimination for ranks and
-determinants (fraction-free over Z[t]), certified factorisation for
+determinants (one echelon form over Z[t], Gaussian elimination over the
+specialised fields), certified factorisation for
 jump loci, and divisibility witnesses for every counting inequality.
 """
 

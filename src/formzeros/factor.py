@@ -10,10 +10,10 @@ rho's expected work grows with the fourth root of the cofactor.
 Polynomials: only what the pipeline needs, rational-root stripping plus
 a Kronecker interpolation search for factors of degree >= 2.  The search
 is exact and deterministic, but it is a small-degree tool -- callers
-pass a degree cap (8 by default) and a work budget (covering both
-divisor enumeration and interpolation candidates), and anything that
-cannot be certified within those limits is handed back unresolved
-rather than guessed at.
+pass a degree cap (8 by default) and a work budget (covering the
+rational-root candidates, divisor enumeration and interpolation
+candidates), and anything that cannot be certified within those limits
+is handed back unresolved rather than guessed at.
 """
 
 from __future__ import annotations
@@ -171,8 +171,12 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial, sorted."""
+def _rational_roots(p: Poly, budget: list[int]) -> list[Fraction]:
+    """The rational roots of a nonzero integer polynomial, sorted.
+
+    Each (numerator, denominator) candidate costs one unit of budget[0];
+    when that goes negative the search stops and returns the roots found
+    so far, which are then not all of them."""
     roots = []
     k = p.lowest_power()
     if k > 0:
@@ -182,6 +186,9 @@ def _rational_roots(p: Poly) -> list[Fraction]:
         return roots
     for num in _divisors(p.constant_term):
         for den in _divisors(p.leading):
+            budget[0] -= 1
+            if budget[0] < 0:
+                return sorted(roots)
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if cand not in roots and p.evaluate(cand) == 0:
                     roots.append(cand)
@@ -285,7 +292,7 @@ def split_squarefree(
         q = work.pop()
         if q.degree < 1:
             continue
-        roots = _rational_roots(q)
+        roots = _rational_roots(q, remaining)
         for r in roots:
             lin = _root_to_linear(r)
             while True:
@@ -331,9 +338,9 @@ def is_irreducible(
     g = gcd_primitive(p, p.derivative())
     if g.degree >= 1:
         return False
-    if _rational_roots(p):
-        return False
     remaining = [budget]
+    if _rational_roots(p, remaining):
+        return False
     g = _kronecker_factor(p, remaining, max_degree)
     if g is not None:
         return False

@@ -8,12 +8,14 @@ Four targets cover every specialisation the pipeline performs:
 * ``Rationals`` -- send the variable to 0 over Q;
 * ``PrimeField(p)`` -- send the variable to 0 over Z/p.
 
-Elements implement only what elimination calls: ``*``, binary ``-``
-and truth (false exactly when zero, so ``not x`` is the zero test).
-Everything else goes through the target: ``convert`` maps an integer
-polynomial to an element, ``div`` divides exactly, and ``one`` and
-``zero`` are its constants.  Elements of two different fields do not
-mix.
+Elements implement only what Gaussian elimination calls: ``*``,
+binary ``-`` and truth (false exactly when zero, so ``not x`` is the
+zero test).  Everything else goes through the target: ``convert`` maps
+an integer polynomial to an element, ``div`` divides (elimination uses
+it to invert a pivot), and ``one`` and ``zero`` are its constants.
+Elements of two different fields do not mix.  The generic target
+divides nothing: its entries stay polynomials, and ``matrix``
+eliminates them over Z[t] by steps that need no division.
 
 A number-field element is its coefficient vector modulo the modulus m
 of degree k.  The field keeps a table of the reductions of t^k, t^(k+1),
@@ -167,14 +169,11 @@ class FieldTarget:
 
 
 class RationalFunctionField(FieldTarget):
-    """Keep the variable; entries remain integer polynomials and
-    elimination runs fraction-free over them."""
+    """Keep the variable; entries stay polynomials, and elimination
+    runs over Z[t] with no division (``matrix._echelon``)."""
 
     def convert(self, p: Poly) -> Poly:
         return p
-
-    def div(self, a: Poly, b: Poly) -> Poly:
-        return a.exact_div(b)
 
     def describe(self) -> str:
         return "generic (rational function field)"

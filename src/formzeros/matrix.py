@@ -1,44 +1,44 @@
-"""Dense matrices and exact elimination.
+"""Dense matrices and exact elimination, one elimination per ring.
 
-One elimination loop serves ``rank``, ``det`` and ``int_det``.  It
-converts every entry into the target once, picks the first nonzero
-entry of the leftmost remaining column as pivot, so it is deterministic
-and exact, and runs in one of two modes:
+Over Z[t], ``_echelon`` is the one elimination.  It brings a matrix,
+its rows cleared of denominators, to row echelon form by steps that
+are invertible over Q[t]: row swaps, ``a*row - b*t^s*other_row`` with a
+a nonzero integer, and division of a row by its integer content.  It
+answers three questions:
 
-* Fraction-free (Bareiss), for ``rank`` over the polynomial ring (the
-  generic target) and for every determinant: each update divides by
-  the previous pivot, and the Bareiss minor identity makes that
-  division exact.  Entries stay polynomials (or integers) whose size is
-  bounded by the minors they equal, and the last pivot is the
-  determinant up to the sign of the row swaps.  ``det`` therefore
-  returns an element of whichever target it is given, and stops with
-  zero at the first column that has no pivot.
-* Gaussian, for ``rank`` over the field targets (number fields, Q and
-  Z/p): each pivot is inverted once, each eliminated row's multiplier
-  is one product with that inverse, and each entry then costs one
-  product and one difference.  Bareiss would instead divide every
-  updated entry by the previous pivot, and in a number field each
-  division is an extended Euclid, far dearer than a product.
+* ``rank`` over the polynomial ring (the generic target) is the number
+  of nonzero rows it returns;
+* ``det`` is the product of the diagonal it leaves, divided by the
+  rational factor its steps applied (-1 per swap, a per step,
+  1/content per content division) and by the multipliers that cleared
+  the rows' denominators; ``int_det`` is ``det`` of a constant matrix;
+* ``minor_gcd`` does not enumerate the C(n, r)^2 minors of an n x n
+  matrix.  It first compresses the matrix: row echelon form, then row
+  echelon form of the transpose of the nonzero rows.  Left
+  multiplication by an invertible matrix over Q[t] keeps the gcd of
+  the r x r minors up to a rational unit, since each new minor is a
+  Q[t] combination of the old ones (Cauchy-Binet) and the inverse gives
+  the converse; transposing keeps it too.  What is left is a k x k
+  matrix, k the generic rank, and ``det`` takes the minors of that:
+  one determinant when r = k, as for every boundary the pipeline asks
+  about.  This is the determinantal-divisor route of Kannan and Bachem
+  (1979) and Storjohann (2000), stopped before the Smith form.
 
-``minor_gcd`` does not enumerate the C(n, r)^2 minors of an n x n
-matrix.  It first compresses the matrix: row echelon form, then row
-echelon form of the transpose of the nonzero rows, both by row steps
-that are invertible over Q[t] (swaps, ``a*row - b*t^s*other_row`` with
-a a nonzero integer, division by an integer content).  Left
-multiplication by an invertible matrix over Q[t] keeps the gcd of the
-r x r minors up to a rational unit, since each new minor is a Q[t]
-combination of the old ones (Cauchy-Binet) and the inverse gives the
-converse; transposing keeps it too.  What is left is a k x k matrix, k
-the generic rank, and ``det`` takes the minors of that: one
-determinant when r = k, as for every boundary the pipeline asks about.
-This is the determinantal-divisor route of Kannan and Bachem (1979) and
-Storjohann (2000), stopped before the Smith form.
+Over the field targets (number fields, Q and Z/p), ``rank`` is
+Gaussian elimination: it converts every entry into the target once,
+takes the first nonzero entry of the leftmost remaining column as
+pivot, inverts that pivot only when a row below needs it, and then
+costs one product per eliminated row for its multiplier and one
+product and one difference per updated entry.  In a number field an
+inverse is an extended Euclid, far dearer than a product, so a pivot
+with nothing below it is never inverted.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 from .fields import RationalFunctionField
 from .poly import Poly, gcd_primitive
@@ -121,114 +121,23 @@ class Matrix:
         return all(not x for row in self.rows for x in row)
 
 
-class _Integers:
-    """The integers as an elimination target, for ``int_det``."""
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def convert(x: int) -> int:
-        return x
-
-    @staticmethod
-    def div(a: int, b: int) -> int:
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact integer division in elimination")
-        return q
-
-
-_INTEGERS = _Integers()
-
-
-def _eliminate(m: Matrix, target, fraction_free: bool):
-    """Row-reduce ``m`` over the target, one column at a time.
-
-    Yields, per column, ``None`` when no row below the pivots found so
-    far is nonzero there, otherwise ``(pivot, swapped)`` once the rows
-    below the pivot are reduced; ``swapped`` tells whether bringing the
-    pivot up exchanged two rows.  Stops once every row holds a pivot.
-    Each entry goes through ``target.convert`` once.
-    """
-    convert = target.convert
-    rows = [[convert(e) for e in row] for row in m.rows]
-    nr, nc = m.nrows, m.ncols
-    rk = 0
-    prev = None
-    for col in range(nc):
-        if rk == nr:
-            return
-        for r in range(rk, nr):
-            if rows[r][col]:
-                break
+def _integer_rows(m: Matrix) -> tuple[list, int]:
+    """The rows of a polynomial matrix as integer coefficient lists
+    (ascending powers, ``[]`` for zero), each row multiplied by the
+    least common multiple of its denominators, and the product of those
+    multipliers."""
+    rows, scale = [], 1
+    for row in m.rows:
+        mult = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+        if mult == 1:
+            rows.append([list(e.coeffs) for e in row])
         else:
-            yield None
-            continue
-        swapped = r != rk
-        if swapped:
-            rows[rk], rows[r] = rows[r], rows[rk]
-        prow = rows[rk]
-        p = prow[col]
-        if fraction_free:
-            for row in rows[rk + 1:]:
-                head = row[col]
-                for c in range(col + 1, nc):
-                    num = row[c] * p - head * prow[c]
-                    row[c] = num if prev is None else target.div(num, prev)
-            prev = p
-        else:
-            inv = None  # inverted on first need: often no row needs it
-            for row in rows[rk + 1:]:
-                head = row[col]
-                if head:
-                    if inv is None:
-                        inv = target.div(target.one, p)
-                    f = head * inv
-                    for c in range(col + 1, nc):
-                        if prow[c]:
-                            row[c] = row[c] - f * prow[c]
-        rk += 1
-        yield p, swapped
+            rows.append([[int(c * mult) for c in e.coeffs] for e in row])
+            scale *= mult
+    return rows, scale
 
 
-def rank(m: Matrix, target) -> int:
-    """Exact rank over the target: the number of pivots, found
-    fraction-free over the polynomial ring and by Gaussian elimination
-    over the field targets (see the module docstring)."""
-    fraction_free = isinstance(target, RationalFunctionField)
-    return sum(1 for step in _eliminate(m, target, fraction_free) if step)
-
-
-def det(m: Matrix, target):
-    """Exact determinant over the target, as an element of the target
-    (the empty matrix gives one).
-
-    Fraction-free elimination leaves the determinant as the last pivot,
-    up to the sign of the row swaps; a column without a pivot means the
-    determinant is zero, and elimination stops there.
-    """
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    if m.nrows == 0:
-        return target.one
-    sign = 1
-    for step in _eliminate(m, target, fraction_free=True):
-        if step is None:
-            return target.zero
-        d, swapped = step
-        if swapped:
-            sign = -sign
-    return target.zero - d if sign < 0 else d
-
-
-def int_det(rows) -> int:
-    """Determinant of an integer matrix, exactly."""
-    n = len(rows)
-    return det(Matrix(n, n, rows), _INTEGERS)
-
-
-def _echelon(rows, ncols: int) -> list:
+def _echelon(rows, ncols: int) -> tuple[list, Fraction]:
     """Row echelon form by steps invertible over Q[t], on integer
     coefficient lists (ascending powers, ``[]`` for zero).
 
@@ -239,9 +148,12 @@ def _echelon(rows, ncols: int) -> list:
     then sheds its integer content; this repeats until the column holds
     one nonzero entry.  Among pivots of equal degree the one of smallest
     leading coefficient keeps the multipliers a, and so the coefficient
-    growth, small.  Returns the nonzero rows, pivots moving right.
+    growth, small.  Returns the nonzero rows, pivots moving right, and
+    the factor the steps multiplied a square determinant by: -1 per
+    swap, a per step, 1/content per content division.
     """
     rows = [list(row) for row in rows]
+    num = den = 1
     rk = 0
     for col in range(ncols):
         while True:
@@ -249,7 +161,9 @@ def _echelon(rows, ncols: int) -> list:
             if not live:
                 break
             top = min(live, key=lambda i: (len(rows[i][col]), abs(rows[i][col][-1])))
-            rows[rk], rows[top] = rows[top], rows[rk]
+            if top != rk:
+                rows[rk], rows[top] = rows[top], rows[rk]
+                num = -num
             if len(live) == 1:
                 rk += 1
                 break
@@ -262,6 +176,7 @@ def _echelon(rows, ncols: int) -> list:
                     lead = row[col][-1]
                     g = math.gcd(lp, lead)
                     a, b, s = lp // g, lead // g, len(row[col]) - dp
+                    num *= a
                     for c in range(col, ncols):
                         x = [a * v for v in row[c]]
                         y = prow[c]
@@ -275,7 +190,70 @@ def _echelon(rows, ncols: int) -> list:
                 content = math.gcd(*(v for entry in row[col:] for v in entry))
                 if content > 1:
                     row[col:] = [[v // content for v in entry] for entry in row[col:]]
-    return rows[:rk]
+                    den *= content
+    return rows[:rk], Fraction(num, den)
+
+
+def rank(m: Matrix, target) -> int:
+    """Exact rank over the target: the number of rows ``_echelon``
+    keeps over the polynomial ring (the generic target), the number of
+    pivots of Gaussian elimination over the field targets."""
+    if isinstance(target, RationalFunctionField):
+        return len(_echelon(_integer_rows(m)[0], m.ncols)[0])
+    convert = target.convert
+    rows = [[convert(e) for e in row] for row in m.rows]
+    nr, nc = m.nrows, m.ncols
+    rk = 0
+    for col in range(nc):
+        if rk == nr:
+            break
+        for r in range(rk, nr):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        rows[rk], rows[r] = rows[r], rows[rk]
+        prow = rows[rk]
+        inv = None  # inverted on first need: often no row needs it
+        for row in rows[rk + 1:]:
+            head = row[col]
+            if head:
+                if inv is None:
+                    inv = target.div(target.one, prow[col])
+                f = head * inv
+                for c in range(col + 1, nc):
+                    if prow[c]:
+                        row[c] = row[c] - f * prow[c]
+        rk += 1
+    return rk
+
+
+def det(m: Matrix) -> Poly:
+    """Exact determinant of a square polynomial matrix (the empty
+    matrix gives one).
+
+    ``_echelon`` leaves a triangular matrix when the determinant is
+    nonzero; the determinant is the product of its diagonal divided by
+    the factor the elimination steps applied and by the multipliers
+    that cleared the rows' denominators.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    rows, scale = _integer_rows(m)
+    rows, factor = _echelon(rows, m.ncols)
+    if len(rows) < m.nrows:
+        return Poly.zero()
+    d = Poly.one()
+    for i, row in enumerate(rows):
+        d = d * Poly(row[i])
+    factor *= scale
+    return d if factor == 1 else Poly([c / factor for c in d.coeffs])
+
+
+def int_det(rows) -> int:
+    """Determinant of an integer matrix, exactly."""
+    n = len(rows)
+    return det(Matrix(n, n, [[Poly((e,)) for e in row] for row in rows])).constant_term
 
 
 def minor_gcd(m: Matrix, r: int) -> Poly:
@@ -292,17 +270,16 @@ def minor_gcd(m: Matrix, r: int) -> Poly:
         raise ValueError("minor size must be nonnegative")
     if r == 0:
         return Poly.one()
-    rows = _echelon([[list(e.coeffs) for e in row] for row in m.rows], m.ncols)
+    rows, _ = _echelon(_integer_rows(m)[0], m.ncols)
     k = len(rows)
     if r > k:
         return Poly.zero()
-    square = _echelon([list(col) for col in zip(*rows)], k)
+    square, _ = _echelon([list(col) for col in zip(*rows)], k)
     t = Matrix(k, k, [[Poly(e) for e in row] for row in square])
-    target = RationalFunctionField()
     g = Poly.zero()
     for row_idx in itertools.combinations(range(k), r):
         for col_idx in itertools.combinations(range(k), r):
-            d = det(t.submatrix(row_idx, col_idx), target)
+            d = det(t.submatrix(row_idx, col_idx))
             g = gcd_primitive(g, d)
             if g.coeffs == (1,):
                 return g

@@ -44,3 +44,18 @@ def test_site_resolves(module, path):
 def test_rank_kind_is_field_class(name):
     cls = getattr(formzeros.fields, name, None)
     assert isinstance(cls, type), f"formzeros.fields.{name} is missing"
+
+
+def _counted_layers():
+    """The layer names the tracer counts calls under: each site's
+    prefix, with rank split by target kind."""
+    names = {prefix for prefix, _, _, _ in layers.SITES}
+    return names | {f"matrix.rank.{kind}" for kind in layers.RANK_KINDS.values()}
+
+
+@pytest.mark.parametrize(
+    "workload, name",
+    [(w, name) for w, names in sorted(layers.PREDICTED.items()) for name in names],
+)
+def test_predicted_layer_is_counted(workload, name):
+    assert name in _counted_layers(), f"{workload} predicts {name}, which no site counts"

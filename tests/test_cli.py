@@ -360,6 +360,16 @@ def test_rational_roots_of_a_large_free_term_finish():
     assert "is reducible" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_rational_root_search_is_bounded():
+    """About 4.5 * 10^7 rational-root candidates (6720 divisors at each
+    end): the search stops at the irreducibility budget, and the twist
+    is accepted with the uncertified warning."""
+    proc = _run_cli(["unit-check", "root:963761198400*t^2 + t + 963761198400"])
+    assert proc.returncode == 0, proc.stderr
+    assert "not certified" in proc.stderr and "Traceback" not in proc.stderr
+    assert "algebraic: yes\n" in proc.stdout
+
+
 # -- reuse within a process -------------------------------------------
 
 

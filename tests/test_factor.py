@@ -64,6 +64,19 @@ def test_is_irreducible_uncertified_above_cap():
     assert is_irreducible(sextic, max_degree=3) is True
 
 
+def test_rational_root_candidates_spend_the_budget():
+    """963761198400 has 6720 divisors, so this quadratic has about
+    4.5 * 10^7 (numerator, denominator) candidates; a spent budget
+    leaves it unresolved instead of searching them all.  The roots it
+    did find stay certified."""
+    p = Poly.parse("963761198400*t^2 + t + 963761198400")
+    assert is_irreducible(p, budget=1000) is None
+    assert split_squarefree(p, budget=1000) == ([], [p])
+    q = Poly.parse("t - 1") * p
+    assert is_irreducible(q, budget=1000) is False
+    assert split_squarefree(q, budget=1000) == ([Poly.parse("t - 1")], [p])
+
+
 def test_random_products_recovered():
     """Multiply certified-irreducible pieces, then recover the set."""
     rng = random.Random(404)

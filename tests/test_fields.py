@@ -135,7 +135,6 @@ def test_rational_function_field_identity():
     f = RationalFunctionField()
     p = Poly((1, 2, 3))
     assert f.convert(p) == p
-    assert f.div(Poly((1, 2, 1)), Poly((1, 1))) == Poly((1, 1))
 
 
 def test_number_field_reduction():
