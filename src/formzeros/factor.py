@@ -176,7 +176,10 @@ def _rational_roots(p: Poly, budget: list[int]) -> list[Fraction]:
 
     Each (numerator, denominator) candidate costs one unit of budget[0];
     when that goes negative the search stops and returns the roots found
-    so far, which are then not all of them."""
+    so far, which are then not all of them.  A pair in lowest terms,
+    x/d with p of degree n, is tested on integers, as d^n * p(x/d) = 0
+    by Horner's rule; any other pair is a number an earlier pair
+    already tested."""
     roots = []
     k = p.lowest_power()
     if k > 0:
@@ -184,14 +187,22 @@ def _rational_roots(p: Poly, budget: list[int]) -> list[Fraction]:
         p = Poly(p.coeffs[k:])
     if p.degree < 1:
         return roots
+    lead, *rest = reversed(p.coeffs)
+    dens = _divisors(p.leading)
     for num in _divisors(p.constant_term):
-        for den in _divisors(p.leading):
+        for den in dens:
             budget[0] -= 1
             if budget[0] < 0:
                 return sorted(roots)
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and p.evaluate(cand) == 0:
-                    roots.append(cand)
+            if gcd(num, den) != 1:
+                continue
+            for x in (num, -num):
+                acc, scale = lead, 1
+                for c in rest:
+                    scale *= den
+                    acc = acc * x + c * scale
+                if acc == 0:
+                    roots.append(Fraction(x, den))
     return sorted(roots)
 
 

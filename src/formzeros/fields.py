@@ -3,7 +3,7 @@
 Four targets cover every specialisation the pipeline performs:
 
 * ``RationalFunctionField`` -- keep the variable, work generically;
-* ``NumberField(m)`` -- send the variable to a root of a monic rational
+* ``NumberField(m)`` -- send the variable to a root of an irreducible rational
   polynomial m (degree 1 evaluates at a rational point);
 * ``Rationals`` -- send the variable to 0 over Q;
 * ``PrimeField(p)`` -- send the variable to 0 over Z/p.
@@ -17,18 +17,27 @@ Elements of two different fields do not mix.  The generic target
 divides nothing: its entries stay polynomials, and ``matrix``
 eliminates them over Z[t] by steps that need no division.
 
-A number-field element is its coefficient vector modulo the modulus m
-of degree k.  The field keeps a table of the reductions of t^k, t^(k+1),
-... modulo m: the first row is read off m at construction, and each
-further row is the previous one times t, so the table grows only when
-an entry or product of higher degree first needs it.  Converting an
-entry and multiplying two elements (a convolution of the coefficient
-vectors) both fold their high coefficients through this table, with no
-polynomial division.  Only the inverse runs an extended Euclid.
+Number fields compute on plain integers.  The field keeps its modulus
+as a primitive integer polynomial F of degree k with leading
+coefficient c, and an element is k integer numerators over one
+positive denominator, in lowest terms: one gcd per element, no
+``Fraction`` per coefficient.  The field's table holds integer rows R_j
+with t^(k+j) = R_j / c^(j+1) modulo F: R_0 is read off F at
+construction, and R_(j+1) is c times R_j shifted up one place plus its
+top coefficient times R_0, so the table grows only when an entry or
+product of higher degree first needs it.  Converting an entry and
+multiplying two elements (a convolution of the numerators) both fold
+their high coefficients through this table, scaling by a single power
+of c, with no polynomial division.  Only the inverse runs an extended
+Euclid, by integer pseudo-division: each step scales the remainder and
+its cofactor alike and then divides out their joint content, so the
+coefficients stay integers of moderate size (Cohen, *A Course in
+Computational Algebraic Number Theory*, sections 3.1 and 4.2).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -43,27 +52,39 @@ IRREDUCIBILITY_CHECK_BUDGET = 50_000
 
 
 class NumberFieldElement:
-    """Residue class of a polynomial modulo the field's modulus."""
+    """Residue class of a polynomial modulo the field's modulus: the
+    integer numerators ``num`` (ascending powers, one per power below
+    the field degree) over the positive denominator ``den``, in lowest
+    terms, so ``gcd(den, *num) == 1`` and zero is ``num`` of zeros over
+    1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: "NumberField", coeffs):
-        deg = field.degree
-        coeffs = list(coeffs) + [0] * (deg - len(coeffs))
-        if len(coeffs) != deg:
-            raise ValueError("coefficient vector longer than the field degree")
+    def __init__(self, field: "NumberField", num, den: int = 1):
+        """The element sum(num[i] * t^i) / den, for ``field.degree``
+        integers ``num`` and a positive integer ``den``."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
         self.field = field
-        # ``type(c) is Fraction``: isinstance against the ``numbers`` ABC
-        # goes through ABCMeta for every coefficient of every product
-        self.coeffs = tuple(
-            int(c) if type(c) is Fraction and c.denominator == 1 else c
-            for c in coeffs
-        )
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as rationals: ints where integral, else
+        ``Fraction``s."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self.num)
 
     def _check(self, other) -> "NumberFieldElement":
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
-        if other.field is not self.field and other.field.modulus != self.field.modulus:
+        if other.field is not self.field and other.field._f != self.field._f:
             raise ValueError("elements of different number fields")
         return other
 
@@ -71,39 +92,79 @@ class NumberFieldElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return NumberFieldElement(
-            self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        da, db = self.den, other.den
+        if da == db:
+            num = [a - b for a, b in zip(self.num, other.num)]
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            num = [a * ma - b * mb for a, b in zip(self.num, other.num)]
+            da *= ma
+        return NumberFieldElement(self.field, num, da)
 
     def __mul__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         prod = [0] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.coeffs):
+        bs = other.num
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        return self.field._fold(prod)
+                for j, b in enumerate(bs, i):
+                    prod[j] += a * b
+        return self.field._fold(prod, self.den * other.den)
 
     def inverse(self) -> "NumberFieldElement":
-        """Extended-Euclid inverse modulo the (irreducible) modulus."""
+        """Extended-Euclid inverse modulo the (irreducible) modulus, by
+        integer pseudo-division.
+
+        With x = A/den, each remainder r of the sequence F, A, ... keeps
+        a cofactor s with r = s*A mod F up to one rational factor: a
+        step scales r and s alike, then divides out their joint integer
+        content.  The last nonzero remainder is a constant g exactly
+        when A and F are coprime, and then 1/x = den*s/g.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero in a number field")
-        r0, r1 = self.field.modulus, Poly(self.coeffs)
-        s0, s1 = Poly.zero(), Poly.one()
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r0.degree != 0:
+        field = self.field
+        num = list(self.num)
+        while not num[-1]:
+            num.pop()
+        r0, r1 = list(field._f), num
+        s0, s1 = [], [1]
+        while r1:
+            lb, db = r1[-1], len(r1)
+            r, s = r0, s0
+            while len(r) >= db:
+                g = math.gcd(lb, r[-1])
+                a, b, shift = lb // g, r[-1] // g, len(r) - db
+                r = [a * v for v in r]
+                for j, v in enumerate(r1, shift):
+                    r[j] -= b * v
+                s = [a * v for v in s]
+                s.extend([0] * (len(s1) + shift - len(s)))
+                for j, v in enumerate(s1, shift):
+                    s[j] -= b * v
+                while r and not r[-1]:
+                    r.pop()
+                while s and not s[-1]:
+                    s.pop()
+            content = math.gcd(*r, *s)
+            if content > 1:
+                r = [v // content for v in r]
+                s = [v // content for v in s]
+            r0, r1, s0, s1 = r1, r, s1, s
+        if len(r0) != 1:
             raise ZeroDivisionError(
-                f"element shares a factor with the modulus {self.field.modulus}"
+                f"element shares a factor with the modulus {field.modulus}"
             )
-        return self.field.reduce(s0 * (Fraction(1) / Fraction(r0.constant_term)))
+        g, scale = r0[0], self.den
+        if g < 0:
+            g, scale = -g, -scale
+        return field._fold([scale * v for v in s0], g)
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return f"<{Poly(self.coeffs).format()} mod {self.field.modulus.format()}>"
@@ -147,6 +208,8 @@ class PrimeFieldElement:
 class FieldTarget:
     """Common surface of the four specialisation targets."""
 
+    __slots__ = ()
+
     def convert(self, p: Poly):
         raise NotImplementedError
 
@@ -172,6 +235,8 @@ class RationalFunctionField(FieldTarget):
     """Keep the variable; entries stay polynomials, and elimination
     runs over Z[t] with no division (``matrix._echelon``)."""
 
+    __slots__ = ()
+
     def convert(self, p: Poly) -> Poly:
         return p
 
@@ -186,43 +251,72 @@ class RationalFunctionField(FieldTarget):
 
 
 class NumberField(FieldTarget):
-    """Q[t] modulo a monic polynomial; degree 1 is rational evaluation."""
+    """Q[t] modulo an irreducible polynomial, kept as its primitive
+    integer form F (positive leading coefficient); degree 1 is rational
+    evaluation."""
+
+    __slots__ = ("degree", "_f", "_rows")
 
     def __init__(self, modulus: Poly):
-        modulus = modulus.monic()
-        if modulus.degree < 1:
+        f = modulus.clear_denominators().primitive()
+        if f.degree < 1:
             raise ValueError("number field modulus must be nonconstant")
-        self.modulus = modulus
-        # _powers[j] holds the coefficients of t^(degree + j) modulo the
-        # modulus; t^degree = -(lower terms of the monic modulus)
-        self._powers = [tuple(-c for c in modulus.coeffs[:-1])]
+        self.degree = f.degree
+        self._f = f.coeffs
+        # _rows[j] holds the integers R_j with t^(degree + j) = R_j /
+        # c^(j + 1) modulo F, c its leading coefficient: c * t^degree =
+        # -(lower terms of F)
+        self._rows = [tuple(-v for v in self._f[:-1])]
 
     @property
-    def degree(self) -> int:
-        return self.modulus.degree
+    def modulus(self) -> Poly:
+        """The monic modulus."""
+        return Poly(self._f).monic()
 
-    def _fold(self, coeffs) -> NumberFieldElement:
-        """The element of a coefficient list of any length: each power
-        t^k with k >= degree is replaced by its row of the table."""
+    def _fold(self, ints, den: int) -> NumberFieldElement:
+        """The element sum(ints[i] * t^i) / den, for integers ``ints``
+        of any length and a positive integer ``den``.
+
+        With h powers t^degree and above up to the last nonzero one,
+        everything is scaled by c^h: each t^(degree + j) becomes
+        c^(h - 1 - j) * R_j, the low coefficients are multiplied by c^h,
+        and the denominator takes the one factor c^h.
+        """
         k = self.degree
-        out = list(coeffs[:k])
-        high = coeffs[k:]
-        powers = self._powers
-        while len(powers) < len(high):
-            # t * t^(k+j): shift up one place and fold the top term back
-            last = powers[-1]
-            top, shifted = last[-1], (0,) + last[:-1]
+        n = len(ints)
+        while n > k and not ints[n - 1]:
+            n -= 1
+        if n <= k:
+            return NumberFieldElement(self, list(ints[:n]) + [0] * (k - n), den)
+        h = n - k
+        rows, c = self._rows, self._f[-1]
+        while len(rows) < h:
+            # t * t^(k+j): shift up one place, and fold the top term back
+            # through c * t^k = R_0
+            last = rows[-1]
+            top, shifted = last[-1], (0,) + tuple(c * v for v in last[:-1])
             if top:
-                shifted = tuple(b + top * c for b, c in zip(shifted, powers[0]))
-            powers.append(shifted)
-        for c, row in zip(high, powers):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return NumberFieldElement(self, out)
+                shifted = tuple(a + top * b for a, b in zip(shifted, rows[0]))
+            rows.append(shifted)
+        out = [0] * k
+        scale = 1  # c^(h - 1 - j), then c^h after the loop
+        for j in range(h - 1, -1, -1):
+            x = ints[k + j]
+            if x:
+                x *= scale
+                for i, r in enumerate(rows[j]):
+                    out[i] += x * r
+            scale *= c
+        out = [a + scale * v for a, v in zip(out, ints)]
+        return NumberFieldElement(self, out, den * scale)
 
     def reduce(self, p: Poly) -> NumberFieldElement:
-        return self._fold(p.coeffs)
+        coeffs = p.coeffs
+        # an int's denominator is 1
+        den = math.lcm(*[c.denominator for c in coeffs])
+        if den != 1:
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        return self._fold(coeffs, den)
 
     convert = reduce
 
@@ -235,14 +329,16 @@ class NumberField(FieldTarget):
         return f"root field of {self.modulus.format()}"
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and other.modulus == self.modulus
+        return isinstance(other, NumberField) and other._f == self._f
 
     def __hash__(self):
-        return hash(("number-field", self.modulus))
+        return hash(("number-field", self._f))
 
 
 class Rationals(FieldTarget):
     """Send the variable to 0 over the rationals."""
+
+    __slots__ = ()
 
     def convert(self, p: Poly) -> Fraction:
         return Fraction(p.constant_term)
@@ -259,6 +355,8 @@ class Rationals(FieldTarget):
 
 class PrimeField(FieldTarget):
     """Send the variable to 0 over Z/p."""
+
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not is_prime(p):

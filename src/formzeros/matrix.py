@@ -29,9 +29,11 @@ Gaussian elimination: it converts every entry into the target once,
 takes the first nonzero entry of the leftmost remaining column as
 pivot, inverts that pivot only when a row below needs it, and then
 costs one product per eliminated row for its multiplier and one
-product and one difference per updated entry.  In a number field an
-inverse is an extended Euclid, far dearer than a product, so a pivot
-with nothing below it is never inverted.
+product and one difference per updated entry.  In a number field of
+degree k a product is a k x k convolution of integers and one gcd,
+while an inverse is an extended Euclid by integer pseudo-division, up
+to k steps each of several polynomial updates, so a pivot with nothing
+below it is never inverted.
 """
 
 from __future__ import annotations

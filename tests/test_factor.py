@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from formzeros.errors import PreconditionViolation
 from formzeros.factor import (
     PRIME_CERTIFY_LIMIT,
     _divisors,
+    _rational_roots,
     is_irreducible,
     prime_factors,
     smallest_prime_factor,
@@ -75,6 +77,45 @@ def test_rational_root_candidates_spend_the_budget():
     q = Poly.parse("t - 1") * p
     assert is_irreducible(q, budget=1000) is False
     assert split_squarefree(q, budget=1000) == ([Poly.parse("t - 1")], [p])
+
+
+def _rational_roots_by_evaluation(p: Poly, budget: list) -> list:
+    """Every (numerator, denominator) pair, tested by evaluating p at
+    both signs of the ``Fraction``; one unit of budget per pair."""
+    roots = []
+    k = p.lowest_power()
+    if k > 0:
+        roots.append(Fraction(0))
+        p = Poly(p.coeffs[k:])
+    if p.degree < 1:
+        return roots
+    for num in _divisors(p.constant_term):
+        for den in _divisors(p.leading):
+            budget[0] -= 1
+            if budget[0] < 0:
+                return sorted(roots)
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if cand not in roots and p.evaluate(cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def test_rational_roots_match_evaluation_and_spend_alike():
+    """The integer test of each candidate finds the roots that
+    evaluating at a ``Fraction`` finds, and leaves the same budget, on
+    products of linear factors (some repeated or sharing a root's
+    numerator or denominator) and an irreducible cofactor, with budgets
+    that run out part way."""
+    rng = random.Random(5407)
+    linear = [Poly((-b, a)) for a in (1, 2, 3, 4, 6) for b in (-6, -3, -2, -1, 1, 2, 4)]
+    for _ in range(60):
+        p = Poly.parse(rng.choice(["1", "t^2 + 1", "3*t^2 - 2", "t"]))
+        for _ in range(rng.randint(0, 3)):
+            p = p * rng.choice(linear)
+        for budget in (5, 40, 10**6):
+            ours, theirs = [budget], [budget]
+            assert _rational_roots(p, ours) == _rational_roots_by_evaluation(p, theirs), p
+            assert ours == theirs
 
 
 def test_random_products_recovered():

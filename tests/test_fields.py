@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -165,6 +166,76 @@ def test_number_field_reducible_modulus_detected_on_division():
     zero_divisor = f.reduce(Poly((1, 1)))
     with pytest.raises(ZeroDivisionError):
         zero_divisor.inverse()
+
+
+def test_number_field_reducible_non_monic_modulus_detected_on_division():
+    # 6t^3 + 3t^2 + 2t + 1 = (2t + 1)(3t^2 + 1)
+    f = NumberField(Poly((1, 2, 3, 6)))
+    for factor in (Poly((1, 2)), Poly((1, 0, 3)), Poly((3, 6, 3, 6))):
+        with pytest.raises(ZeroDivisionError):
+            f.reduce(factor).inverse()
+    t = f.reduce(Poly.t())  # coprime to both factors
+    assert (t * t.inverse()).coeffs == (1, 0, 0)
+
+
+def _eisenstein_modulus(data, st) -> Poly:
+    """A modulus of degree 1-4 with a leading coefficient up to 10^6,
+    irreducible by Eisenstein's criterion at a small prime p."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    k = data.draw(st.integers(1, 4))
+    lead = data.draw(st.integers(-10**6, 10**6).filter(lambda c: c % p))
+    middle = [p * data.draw(st.integers(-20, 20)) for _ in range(k - 1)]
+    constant = p * data.draw(st.integers(-20, 20).filter(lambda c: c % p))
+    return Poly([constant, *middle, lead])
+
+
+def _element(data, st, field: NumberField, top: int):
+    """An element reduced from a rational polynomial of degree below
+    ``top``, and that polynomial."""
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(-10**6, 10**6), st.integers(1, 60)), max_size=top))
+    p = Poly([Fraction(a, b) for a, b in pairs])
+    return field.reduce(p), p
+
+
+def _lowest_terms(x) -> bool:
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+def test_number_field_arithmetic_matches_polynomial_remainders():
+    """Reduction, ``*``, ``-`` and ``inverse`` on non-monic moduli agree
+    with ``Poly`` remainders modulo the monic modulus, keep every element
+    in lowest terms, and x * inverse(x) is one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        field = NumberField(_eisenstein_modulus(data, st))
+        k, m = field.degree, field.modulus
+        x, px = _element(data, st, field, 2 * k + 3)
+        y, py = _element(data, st, field, 2 * k + 3)
+
+        def rem(p):
+            r = divmod(p, m)[1].coeffs
+            return r + (0,) * (k - len(r))
+
+        assert x.coeffs == rem(px) and y.coeffs == rem(py)
+        assert (x * y).coeffs == rem(px * py)
+        assert (x - y).coeffs == rem(px - py)
+        results = [x, y, x * y, x - y]
+        if x:
+            inv = x.inverse()
+            assert (x * inv).coeffs == field.one.coeffs
+            results.append(inv)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+        assert all(_lowest_terms(z) for z in results)
+
+    check()
 
 
 def test_number_field_degree_one_is_evaluation():

@@ -400,6 +400,55 @@ def test_det_and_generic_rank_match_sympy():
     assert deficient  # the planted zeros do drop the rank
 
 
+# irreducible, mostly non-monic moduli, one with a large leading coefficient
+_SYMPY_MODULI = ["97*t^3 + 5*t + 3", "1000003*t^2 - 7", "2*t^3 + t + 1",
+                 "t^2 + 1", "5*t + 3"]
+
+
+def test_number_field_rank_matches_sympy():
+    """Rank over a number field agrees with sympy's rank over
+    ``QQ.algebraic_field`` on A * D * B, where D holds multiples of the
+    modulus (so the rank drops at its root) and A and B have entries of
+    degree above twice the field degree (so the reduction table grows
+    past what products of reduced elements need)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.symbols("t")
+    rng = random.Random(8233)
+    drops = 0
+    for text in _SYMPY_MODULI:
+        f = Poly.parse(text)
+        field = NumberField(f)
+        root = sympy.CRootOf(sum(c * t**e for e, c in enumerate(f.coeffs)), 0)
+        dom = sympy.QQ.algebraic_field(root)
+        theta = dom.from_sympy(root)
+
+        def at_root(p):
+            acc = dom.zero
+            for c in reversed(p.coeffs):
+                acc = acc * theta + dom.convert(c)
+            return acc
+
+        top = 2 * f.degree + 3
+        pivots = [Poly.one(), Poly.parse("t - 1"), Poly((3,)), f, f * Poly((2, 1))]
+        for _ in range(6):
+            nr, nc, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a = Matrix(nr, k, [[Poly([rng.randint(-9, 9) for _ in range(top)])
+                                for _ in range(k)] for _ in range(nr)])
+            d = Matrix(k, k, [[rng.choice(pivots) if i == j else Poly.zero()
+                               for j in range(k)] for i in range(k)])
+            b = Matrix(k, nc, [[Poly([rng.randint(-9, 9) for _ in range(top)])
+                                for _ in range(nc)] for _ in range(k)])
+            m = a.mul(d).mul(b)
+            expected = DomainMatrix(
+                [[at_root(e) for e in row] for row in m.rows], (nr, nc), dom
+            ).rank()
+            assert rank(m, field) == expected, (text, m)
+            drops += expected < rank(m, RFF)
+    assert drops  # the planted multiples of the moduli do drop the rank
+
+
 def test_field_rank_inverts_only_pivots_a_row_below_needs(monkeypatch):
     """An inverse in a number field is an extended Euclid, so a pivot is
     inverted only when some row below it has a nonzero entry in its
