@@ -263,7 +263,7 @@ def jump_points(
             lambda: tuple(map(tuple, split_squarefree(sq, max_factor_degree))),
         )
         for f in irreducible:
-            value = betti(cx, NumberField(f.monic()))[degree]
+            value = betti(cx, NumberField(f))[degree]
             status = "confirmed" if value > generic_b else "rejected"
             factors.append(JumpFactor(f, status, value))
         for f in unresolved:

@@ -8,8 +8,11 @@ is refused (``PreconditionViolation``) rather than searched; below it,
 rho's expected work grows with the fourth root of the cofactor.
 
 Polynomials: only what the pipeline needs, rational-root stripping plus
-a Kronecker interpolation search for factors of degree >= 2.  The search
-is exact and deterministic, but it is a small-degree tool -- callers
+a Kronecker interpolation search for factors of degree >= 2, both on
+plain integers (candidate roots by integer Horner, candidate factors by
+a Lagrange basis over one common denominator, with trial division that
+stays in Z[t]).  The search is exact and deterministic, but it is a
+small-degree tool -- callers
 pass a degree cap (8 by default) and a work budget (covering the
 rational-root candidates, divisor enumeration and interpolation
 candidates), and anything that cannot be certified within those limits
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import PreconditionViolation
 from .poly import Poly, gcd_primitive
@@ -228,7 +232,13 @@ def _kronecker_factor(
     """Search for a nonconstant proper factor of p (primitive, no
     rational roots) of degree at most ``max_factor``.  Returns a factor,
     or None if none was found or the budget ran out (budget[0] goes
-    negative in that case)."""
+    negative in that case).
+
+    A factor g of degree d is fixed by its values at d + 1 points, each
+    a divisor of p's value there.  The Lagrange basis of those points
+    sits over one common denominator L as integer rows, so a choice of
+    values gives integer sums, and it is a candidate only when L
+    divides every sum; each choice costs one unit of budget."""
     n = p.degree
     top = n // 2 if max_factor is None else min(n // 2, max_factor)
     for d in range(2, top + 1):
@@ -247,8 +257,9 @@ def _kronecker_factor(
                 choices.append(divs)
             else:
                 choices.append([s * t for t in divs for s in (1, -1)])
-        # Lagrange basis over the chosen points, computed once
-        basis = []
+        # Lagrange basis over the chosen points, computed once: row i is
+        # L * prod_{j != i} (t - x_j) / (x_i - x_j), stored by column
+        nums, dens = [], []
         for i, xi in enumerate(pts):
             num = Poly.one()
             den = 1
@@ -256,25 +267,29 @@ def _kronecker_factor(
                 if i != j:
                     num = num * Poly((-xj, 1))
                     den *= xi - xj
-            basis.append([Fraction(c, den) for c in num.coeffs])
+            nums.append(num.coeffs)
+            dens.append(den)
+        lcd = lcm(*dens)
+        rows = [[c * (lcd // den) for c in num] for num, den in zip(nums, dens)]
+        columns = list(zip(*rows))
         for combo in itertools.product(*choices):
             budget[0] -= 1
             if budget[0] < 0:
                 return None
-            coeffs = [Fraction(0)] * (d + 1)
-            for v, b in zip(combo, basis):
-                for k, c in enumerate(b):
-                    coeffs[k] += v * c
-            if any(c.denominator != 1 for c in coeffs):
-                continue
-            g = Poly(coeffs)
-            if g.degree != d:
-                continue
-            if p.leading % g.leading or p.constant_term % g.constant_term:
-                continue
-            q, r = divmod(p, g)
-            if r.is_zero():
-                return g.primitive()
+            coeffs = []
+            for column in columns:
+                s = sum(map(mul, combo, column))
+                if s % lcd:
+                    break
+                coeffs.append(s // lcd)
+            else:
+                g = Poly(coeffs)
+                if g.degree != d:
+                    continue
+                if p.leading % g.leading or p.constant_term % g.constant_term:
+                    continue
+                if divmod(p, g)[1].is_zero():
+                    return g.primitive()
     return None
 
 
@@ -310,7 +325,7 @@ def split_squarefree(
                 quo, rem = divmod(q, lin)
                 if rem.is_zero():
                     irreducible.append(lin)
-                    q = quo.clear_denominators().primitive()
+                    q = quo.primitive()
                 else:
                     break
         if q.degree < 1:
@@ -326,7 +341,7 @@ def split_squarefree(
                 irreducible.append(q.primitive())
         else:
             work.append(g)
-            work.append(q.exact_div(g).clear_denominators().primitive())
+            work.append(q.exact_div(g).primitive())
     key = lambda f: (f.degree, f.coeffs)
     return sorted(irreducible, key=key), sorted(unresolved, key=key)
 

@@ -389,24 +389,25 @@ class AlgebraicNumberSpec:
 
     Either transcendental, or algebraic with a monic rational minimal
     polynomial (degree >= 1, nonzero constant term so the number itself
-    is nonzero).  Irreducibility of a declared minimal polynomial is
+    is nonzero), carried as its primitive integer form with positive
+    lead, which determines the monic one.  Irreducibility of a declared minimal polynomial is
     certified up to degree 8; beyond that the input is accepted with a
     warning.
     """
 
-    __slots__ = ("minpoly",)
+    __slots__ = ("_prim",)
 
     def __init__(self, minpoly: Poly | None):
+        prim = None
         if minpoly is not None:
-            minpoly = minpoly.monic()
-            if minpoly.degree < 1:
+            prim = minpoly.clear_denominators().primitive()
+            if prim.degree < 1:
                 raise SchemaError("minimal polynomial must be nonconstant")
-            if minpoly.constant_term == 0:
+            if prim.constant_term == 0:
                 raise SchemaError(
                     "minimal polynomial has zero constant term (the number 0 "
                     "is not an admissible twist)"
                 )
-            prim = minpoly.clear_denominators().primitive()
             verdict = is_irreducible(
                 prim, IRREDUCIBILITY_CHECK_LIMIT, IRREDUCIBILITY_CHECK_BUDGET
             )
@@ -421,7 +422,7 @@ class AlgebraicNumberSpec:
                     "budget exhausted); proceeding on the caller's word",
                     stacklevel=2,
                 )
-        self.minpoly = minpoly
+        self._prim = prim
 
     # -- constructors ------------------------------------------------
 
@@ -477,18 +478,23 @@ class AlgebraicNumberSpec:
     # -- queries -----------------------------------------------------
 
     @property
+    def minpoly(self) -> Poly | None:
+        """The monic rational minimal polynomial (None if transcendental)."""
+        return None if self._prim is None else self._prim.monic()
+
+    @property
     def is_algebraic(self) -> bool:
-        return self.minpoly is not None
+        return self._prim is not None
 
     def primitive_minpoly(self) -> Poly:
         """Integer minimal polynomial with content 1 and positive lead."""
-        if self.minpoly is None:
+        if self._prim is None:
             raise ValueError("a transcendental number has no minimal polynomial")
-        return self.minpoly.clear_denominators().primitive()
+        return self._prim
 
     def value_if_rational(self) -> Fraction | None:
-        if self.minpoly is not None and self.minpoly.degree == 1:
-            return Fraction(-self.minpoly.constant_term)
+        if self._prim is not None and self._prim.degree == 1:
+            return Fraction(-self._prim.constant_term, self._prim.leading)
         return None
 
     def inverse(self) -> "AlgebraicNumberSpec":
@@ -497,36 +503,36 @@ class AlgebraicNumberSpec:
         The reversal of an irreducible polynomial with nonzero constant
         term is irreducible, so the reciprocal inherits this spec's
         certification (or its warning) and is built without checking
-        or warning again.
+        or warning again.  Reversing a primitive integer polynomial
+        keeps it primitive; only the sign of its lead is fixed.
         """
         rec = AlgebraicNumberSpec.__new__(AlgebraicNumberSpec)
-        rec.minpoly = (
-            None if self.minpoly is None else self.minpoly.reversal().monic()
-        )
+        rev = None if self._prim is None else self._prim.reversal()
+        rec._prim = rev if rev is None or rev.leading > 0 else -rev
         return rec
 
     def field_target(self, invert: bool = False) -> FieldTarget:
         """Target sending the variable to the number (or its inverse)."""
-        if self.minpoly is None:
+        if self._prim is None:
             return RationalFunctionField()
         spec = self.inverse() if invert else self
-        return NumberField(spec.minpoly)
+        return NumberField(spec._prim)
 
     def describe(self) -> str:
-        if self.minpoly is None:
+        if self._prim is None:
             return "transcendental"
         value = self.value_if_rational()
         if value is not None:
             return f"rational {value}"
-        return f"root of {self.primitive_minpoly().format()}"
+        return f"root of {self._prim.format()}"
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraicNumberSpec):
             return NotImplemented
-        return self.minpoly == other.minpoly
+        return self._prim == other._prim
 
     def __hash__(self):
-        return hash(("algnum", self.minpoly))
+        return hash(("algnum", self._prim))
 
     def __repr__(self):
         return f"<number: {self.describe()}>"

@@ -7,6 +7,15 @@ Fraction that happens to be integral is normalised to int, so an
 integer polynomial always has plain int coefficients and equality is
 structural.  All arithmetic is exact -- no floats enter anywhere.
 
+The pipeline's polynomials are integer ones, and the kernels keep them
+on plain ints: parsing, ``divmod`` while the divisor's leading
+coefficient divides each leading term, and ``gcd_primitive`` and
+``radical``, which run a primitive pseudo-remainder sequence.  A
+``Fraction`` appears only where the value is not an integer: a ``p/q``
+term parsed under ``allow_fractions``, ``monic``, a ``divmod`` step the
+divisor's leading coefficient does not divide (from that step on), and
+evaluation at a ``Fraction``.
+
 The canonical text form writes terms in descending powers over the
 indeterminate ``t`` with a ``*`` between coefficient and power and unit
 coefficients suppressed::
@@ -89,7 +98,7 @@ class Poly:
         s = text.strip()
         if not s:
             raise PolynomialParseError("empty polynomial string")
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int | Fraction] = {}
         pos = 0
         first = True
         while pos < len(s):
@@ -117,16 +126,16 @@ class Poly:
                         raise PolynomialParseError(f"zero denominator in {raw!r}")
                     coeff = Fraction(int(num), int(den))
                 else:
-                    coeff = Fraction(int(raw))
+                    coeff = int(raw)
             else:
-                coeff = Fraction(1)
+                coeff = 1
             if m.group("var1") is not None:
                 exp = int(m.group("exp1") or 1)
             elif m.group("var2") is not None:
                 exp = int(m.group("exp2") or 1)
             else:
                 exp = 0
-            coeffs[exp] = coeffs.get(exp, Fraction(0)) + sgn * coeff
+            coeffs[exp] = coeffs.get(exp, 0) + sgn * coeff
             pos = m.end()
             first = False
         deg = max(coeffs)
@@ -221,32 +230,33 @@ class Poly:
         return out
 
     def __divmod__(self, other):
-        """Division over the rationals; always exact as a field step."""
+        """Division over the rationals; always exact as a field step.
+
+        Each step stays in the coefficients' own ring while the
+        divisor's leading coefficient divides the leading term, so an
+        exact division of integer polynomials never leaves the
+        integers; a step it does not divide is a ``Fraction`` one.
+        """
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
+        q = [0] * max(0, len(rem) - d)
         lead = other.leading
-        if lead in (1, -1):
-            # unit leading coefficient: stay in the base ring
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i] if lead == 1 else -rem[i]
-                if c:
-                    q[i - d] = c
-                    for j, b in enumerate(other.coeffs):
-                        rem[i - d + j] -= c * b
-            return Poly(q), Poly(rem)
-        lead = Fraction(lead)
         for i in range(len(rem) - 1, d - 1, -1):
-            c = Fraction(rem[i]) / lead
-            if c:
-                q[i - d] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * b
+            c = rem[i]
+            if not c:
+                continue
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    c = Fraction(rem[i]) / lead
+            q[i - d] = c
+            for j, b in enumerate(other.coeffs, i - d):
+                rem[j] -= c * b
         return Poly(q), Poly(rem)
 
     def exact_div(self, other) -> "Poly":
@@ -285,10 +295,10 @@ class Poly:
 
     def clear_denominators(self) -> "Poly":
         """Smallest positive integer multiple with integer coefficients."""
-        lcm = 1
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+        # an int's denominator is 1
+        lcm = math.lcm(*[c.denominator for c in self.coeffs])
+        if lcm == 1:
+            return self
         return Poly([c * lcm for c in self.coeffs])
 
     def monic(self) -> "Poly":
@@ -362,21 +372,52 @@ class Poly:
         return f"Poly({self.format()!r})"
 
 
+def _primitive_ints(coeffs: list[int]) -> list[int]:
+    """The integer coefficients divided by their content, with a
+    positive leading one (the empty list for zero)."""
+    g = math.gcd(*coeffs)
+    if coeffs and coeffs[-1] < 0:
+        g = -g
+    return [c // g for c in coeffs] if g not in (0, 1) else coeffs
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """An integer multiple of the remainder of a by a nonzero b, both
+    integer coefficient lists: each step scales the dividend by
+    lead(b) / g and subtracts lead(a) / g times b shifted, with g the
+    gcd of the two leading coefficients."""
+    lb, db = b[-1], len(b)
+    r = list(a)
+    while len(r) >= db:
+        g = math.gcd(lb, r[-1])
+        x, y = lb // g, r[-1] // g
+        if x != 1:
+            r = [x * v for v in r]
+        for j, v in enumerate(b, len(r) - db):
+            r[j] -= y * v
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
 def gcd_primitive(a: Poly, b: Poly) -> Poly:
     """Content-normalised gcd of two integer polynomials.
 
     The result is primitive with positive leading coefficient; the gcd
-    of two zero polynomials is zero.  Computed over the rationals (the
-    roots are what matters) and re-primitivised, which is the Gauss
-    route: a common factor over Q lifts to a primitive one over Z.
+    of two zero polynomials is zero.  Rational inputs are scaled to
+    integers first, which does not change the result.  Computed by a
+    primitive pseudo-remainder sequence on plain ints: each remainder
+    is made primitive before the next step, and the last nonzero one is
+    the gcd, by Gauss's lemma (a common factor over Q lifts to a
+    primitive one over Z).
     """
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.clear_denominators().primitive()
+    a = _primitive_ints(list(a.clear_denominators().coeffs))
+    b = _primitive_ints(list(b.clear_denominators().coeffs))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_ints(_pseudo_remainder(a, b))
+    return Poly(a)
 
 
 def radical(p: Poly) -> Poly:
@@ -388,4 +429,5 @@ def radical(p: Poly) -> Poly:
     g = gcd_primitive(p, p.derivative())
     if g.degree == 0:
         return p.primitive()
-    return p.exact_div(g).clear_denominators().primitive()
+    # g is primitive and divides p over Z (Gauss), so this stays on ints
+    return p.exact_div(g).primitive()

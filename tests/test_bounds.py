@@ -357,17 +357,21 @@ def test_split_memo_keyed_by_max_factor_degree(monkeypatch):
 
 
 def test_jumps_match_benchmark_oracle(bench_workloads, tmp_path):
-    """The first jump-loci chunk of the benchmark, checked against its
-    closed-form expected outputs."""
-    ops = bench_workloads.JumpLoci("201", str(tmp_path)).chunk(0)
-    assert len(ops) == 16
-    # the second pass reuses the loaded complexes and their Betti vectors
-    for _ in range(2):
-        hits = cli._complex_from_text.cache_info().hits
-        for op in ops:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main(op.argv)
-            assert (code, out.getvalue()) == op.expect, op.argv
-    files = sum(1 for op in ops if op.path is not None)
-    assert files and cli._complex_from_text.cache_info().hits - hits == files
+    """The first three jump-loci chunks of the benchmark (48 ops: jumps
+    on rank-deficient complexes and mapping tori, with their Kronecker
+    splits), checked against their closed-form expected outputs."""
+    workload = bench_workloads.JumpLoci("201", str(tmp_path))
+    for index in range(3):
+        ops = workload.chunk(index)
+        assert len(ops) == 16
+        # the second pass reuses the loaded complexes and their Betti
+        # vectors; one chunk's files fit the complex cache
+        for _ in range(2):
+            hits = cli._complex_from_text.cache_info().hits
+            for op in ops:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(op.argv)
+                assert (code, out.getvalue()) == op.expect, op.argv
+        files = sum(1 for op in ops if op.path is not None)
+        assert files and cli._complex_from_text.cache_info().hits - hits == files

@@ -131,6 +131,14 @@ def test_bounds_prime_override_checked(capsys, tmp_path):
     assert code == 3 and "not admissible" in err
 
 
+def test_zero_minimal_polynomial_is_a_usage_error(capsys):
+    """``root:0`` is malformed input: exit 2 with a message, not a
+    traceback."""
+    code, out, err = run(capsys, ["unit-check", "root:0"])
+    assert (code, out) == (2, "")
+    assert err == "error: minimal polynomial must be nonconstant\n"
+
+
 def test_unit_check_classifications(capsys):
     code, out, _ = run(capsys, ["unit-check", "root:t^2 - t + 1"])
     assert code == 0 and "Dirichlet unit: yes" in out

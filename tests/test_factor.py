@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -10,6 +11,8 @@ from formzeros.errors import PreconditionViolation
 from formzeros.factor import (
     PRIME_CERTIFY_LIMIT,
     _divisors,
+    _interpolation_points,
+    _kronecker_factor,
     _rational_roots,
     is_irreducible,
     prime_factors,
@@ -116,6 +119,75 @@ def test_rational_roots_match_evaluation_and_spend_alike():
             ours, theirs = [budget], [budget]
             assert _rational_roots(p, ours) == _rational_roots_by_evaluation(p, theirs), p
             assert ours == theirs
+
+
+def _kronecker_by_fractions(p: Poly, budget: list, max_factor=None):
+    """The Kronecker search with its Lagrange basis in ``Fraction``s and
+    the candidate test on their denominators, charging the budget as
+    ``_kronecker_factor`` does."""
+    n = p.degree
+    top = n // 2 if max_factor is None else min(n // 2, max_factor)
+    for d in range(2, top + 1):
+        pts = _interpolation_points(d + 1)
+        choices = []
+        for i, v in enumerate(p.evaluate(x) for x in pts):
+            budget[0] -= isqrt(abs(v)) + 1
+            if budget[0] < 0:
+                return None
+            divs = _divisors(v)
+            choices.append(divs if i == 0 else [s * t for t in divs for s in (1, -1)])
+        basis = []
+        for i, xi in enumerate(pts):
+            num, den = Poly.one(), 1
+            for j, xj in enumerate(pts):
+                if i != j:
+                    num = num * Poly((-xj, 1))
+                    den *= xi - xj
+            basis.append([Fraction(c, den) for c in num.coeffs])
+        for combo in itertools.product(*choices):
+            budget[0] -= 1
+            if budget[0] < 0:
+                return None
+            coeffs = [Fraction(0)] * (d + 1)
+            for v, b in zip(combo, basis):
+                for k, c in enumerate(b):
+                    coeffs[k] += v * c
+            if any(c.denominator != 1 for c in coeffs):
+                continue
+            g = Poly(coeffs)
+            if g.degree != d:
+                continue
+            if p.leading % g.leading or p.constant_term % g.constant_term:
+                continue
+            if divmod(p, g)[1].is_zero():
+                return g.primitive()
+    return None
+
+
+def test_kronecker_factor_matches_fraction_search_and_spends_alike():
+    """The integer Lagrange basis over one common denominator finds the
+    factor the ``Fraction`` basis finds (or neither finds one) and
+    leaves the same budget, on products of irreducibles with no rational
+    root, non-monic ones included, and on irreducibles, with budgets
+    that run out part way."""
+    rng = random.Random(6211)
+    pool = [Poly.parse(s) for s in (
+        "t^2 + 1", "t^2 + t + 1", "t^2 - t + 1", "3*t^2 - 2", "2*t^2 + 3",
+        "5*t^2 + t + 2", "t^3 - 2", "2*t^3 + t + 1", "t^3 - t - 1",
+    )]
+    cases = [Poly.parse(s) for s in ("t^4 + 1", "t^4 - 10*t^2 + 1", "3*t^4 + t + 1")]
+    for _ in range(30):
+        p = Poly.one()
+        for f in rng.sample(pool, 2):
+            p = p * f
+        cases.append(p)
+    for p in cases:
+        for max_factor in (None, 2):
+            for budget in (5, 40, 10**6):
+                ours, theirs = [budget], [budget]
+                assert (_kronecker_factor(p, ours, max_factor)
+                        == _kronecker_by_fractions(p, theirs, max_factor)), p
+                assert ours == theirs, p
 
 
 def test_random_products_recovered():

@@ -85,6 +85,36 @@ def test_spec_inverse():
     assert b.inverse().primitive_minpoly() == Poly((-1, 1, 1))
 
 
+def test_spec_carries_its_primitive_minpoly():
+    """The primitive integer minimal polynomial is computed once and
+    carried; the reciprocal reverses it, fixing only the sign of its
+    lead, and agrees with the reversed monic polynomial; ``describe``
+    and the field targets are unchanged by the representation."""
+    for text in ("t^2 - t - 1", "-2*t^3 + t - 3", "1/2*t^2 + 1/3*t + 5/6",
+                 "3*t - 4", "-t + 7"):
+        spec = AlgebraicNumberSpec.from_minpoly_text(text)
+        prim = spec.primitive_minpoly()
+        assert spec.primitive_minpoly() is prim
+        assert all(type(c) is int for c in prim.coeffs) and prim.leading > 0
+        monic = Poly.parse(text, allow_fractions=True).monic()
+        assert spec.minpoly == monic
+        inv = spec.inverse()
+        assert inv.minpoly == monic.reversal().monic()
+        assert inv.primitive_minpoly() == monic.reversal().clear_denominators().primitive()
+        assert inv.inverse() == spec and hash(inv.inverse()) == hash(spec)
+        assert spec.field_target() == NumberField(monic)
+        assert spec.field_target(invert=True) == NumberField(monic.reversal().monic())
+    assert AlgebraicNumberSpec.from_minpoly_text("-3*t + 4").describe() == "rational 4/3"
+    assert AlgebraicNumberSpec.from_minpoly_text("2*t^2 - 3").describe() == "root of 2*t^2 - 3"
+
+
+def test_spec_rejects_the_zero_polynomial():
+    with pytest.raises(SchemaError, match="must be nonconstant"):
+        AlgebraicNumberSpec.from_minpoly_text("0")
+    with pytest.raises(SchemaError, match="must be nonconstant"):
+        AlgebraicNumberSpec.from_minpoly_text("t - t")
+
+
 def test_spec_inverse_inherits_certification(monkeypatch):
     """The reversal of an irreducible polynomial with nonzero constant
     term is irreducible, so the reciprocal is not certified again."""
