@@ -2,9 +2,10 @@
 
 Everything is computed over Z[t] (t the deformation variable) with
 exact arithmetic end to end: exact elimination for ranks and
-determinants (one echelon form over Z[t], Gaussian elimination over the
-specialised fields), certified factorisation for
-jump loci, and divisibility witnesses for every counting inequality.
+determinants (one echelon form over Z[t], also run mod p for Z/p at
+t = 0; Gaussian elimination over number fields only), certified
+factorisation for jump loci, and divisibility witnesses for every
+counting inequality.
 """
 
 from __future__ import annotations

@@ -69,11 +69,13 @@ class PrimeSelection:
 def select_prime(a: AlgebraicNumberSpec) -> PrimeSelection:
     """Smallest prime p with the vanishing ideal of 1/a inside (p, t).
 
-    That prime divides the free term of the primitive minimal
-    polynomial of 1/a, equivalently the leading coefficient of the one
-    of a.  Raises IsAlgebraicInteger when no such prime exists, and
-    returns 2 for transcendental a, where the ideal is zero and every
-    prime works.
+    That ideal is generated by the primitive minimal polynomial of 1/a,
+    so p divides its free term, equivalently the leading coefficient of
+    the minimal polynomial of a.  Raises IsAlgebraicInteger when no
+    such prime exists, and returns 2 for transcendental a, where the
+    ideal is zero and every prime works.  ``zero_bounds`` calls it on
+    1/a for an algebraic integer a; the prime it gets then has the
+    ideal of a itself, not of 1/a, inside (p, t).
     """
     if not a.is_algebraic:
         return PrimeSelection(2, "all primes admissible (zero vanishing ideal)")

@@ -169,14 +169,22 @@ def cmd_bounds(args) -> int:
     cx = _load_complex(args)
     a = AlgebraicNumberSpec.parse(args.a)
     report = zero_bounds(cx, a, args.dim_e, args.prime)
+    cls = report.classification
+    # for an algebraic integer the prime divides the free term of a's
+    # own minimal polynomial, not of the reciprocal's
+    ideal = (
+        f"({cls.primitive_minpoly.format()})"
+        if cls.is_algebraic_integer
+        else report.ideal_at_inverse
+    )
     lines = [
         f"a: {report.a}",
-        f"classification: {_classification_phrase(report.classification)}",
+        f"classification: {_classification_phrase(cls)}",
         f"dim E: {report.dim_e}",
         f"target: {report.target}",
         "betti: (" + ", ".join(str(b) for b in report.betti) + ")",
         f"prime: {report.prime} ({report.prime_reason})",
-        f"ideals: {report.ideal_at_inverse} inside {report.boundary_ideal}",
+        f"ideals: {ideal} inside {report.boundary_ideal}",
         "weak bounds (exact): "
         + ", ".join(f"c_{j} >= {w}" for j, w in enumerate(report.weak)),
         "ceilings (integer sharpening): "
@@ -204,6 +212,8 @@ def _jump_lines(reports) -> list:
 
 
 def cmd_jumps(args) -> int:
+    if args.max_factor_degree < 0:
+        raise SchemaError("--max-factor-degree must be nonnegative")
     cx = _load_complex(args)
     if args.degree is not None:
         reports = [jump_points(cx, args.degree, args.max_factor_degree)]
@@ -273,7 +283,7 @@ def _load_components(text: str):
         raw = _read_file(text)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or too many digits
         raise SchemaError(f"bad components JSON: {exc}") from None
     comps = []
     if not isinstance(data, list):
@@ -331,7 +341,7 @@ def cmd_example(args) -> int:
     # mapping torus
     try:
         rows = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or too many digits
         raise SchemaError(f"bad matrix JSON: {exc}") from None
     cx = mapping_torus(rows)
     reports = all_jump_points(cx)

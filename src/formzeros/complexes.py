@@ -43,7 +43,10 @@ class ChainComplex:
     __slots__ = ("ranks", "boundaries", "_memo")
 
     def __init__(self, ranks, boundaries):
-        ranks = tuple(int(r) for r in ranks)
+        try:
+            ranks = tuple(int(r) for r in ranks)
+        except (TypeError, ValueError):
+            ranks = None
         if not ranks or any(r < 0 for r in ranks):
             raise SchemaError("ranks must be a nonempty list of nonnegative ints")
         boundaries = tuple(boundaries)
@@ -154,7 +157,7 @@ class ChainComplex:
     def from_json(cls, text: str) -> "ChainComplex":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or too many digits
             raise SchemaError(f"invalid JSON: {exc}") from None
         return cls.from_json_dict(data)
 

@@ -205,7 +205,7 @@ class GroupRingPresentation:
     def from_json(cls, text: str) -> "GroupRingPresentation":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or too many digits
             raise SchemaError(f"invalid JSON: {exc}") from None
         return cls.from_json_dict(data)
 
@@ -263,7 +263,10 @@ def mapping_torus(b_rows) -> ChainComplex:
 
     B must be a square integer matrix with determinant +-1.
     """
-    rows = [[int(x) for x in row] for row in b_rows]
+    try:
+        rows = [[int(x) for x in row] for row in b_rows]
+    except (TypeError, ValueError):
+        raise SchemaError("monodromy matrix must be a list of integer rows") from None
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise SchemaError("monodromy matrix must be square")

@@ -318,16 +318,11 @@ def split_squarefree(
         q = work.pop()
         if q.degree < 1:
             continue
-        roots = _rational_roots(q, remaining)
-        for r in roots:
+        # q is square-free, so each rational root divides it once
+        for r in _rational_roots(q, remaining):
             lin = _root_to_linear(r)
-            while True:
-                quo, rem = divmod(q, lin)
-                if rem.is_zero():
-                    irreducible.append(lin)
-                    q = quo.primitive()
-                else:
-                    break
+            irreducible.append(lin)
+            q = q.exact_div(lin).primitive()
         if q.degree < 1:
             continue
         if q.degree == 1:

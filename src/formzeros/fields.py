@@ -8,14 +8,13 @@ Four targets cover every specialisation the pipeline performs:
 * ``Rationals`` -- send the variable to 0 over Q;
 * ``PrimeField(p)`` -- send the variable to 0 over Z/p.
 
-Elements implement only what Gaussian elimination calls: ``*``,
-binary ``-`` and truth (false exactly when zero, so ``not x`` is the
-zero test).  Everything else goes through the target: ``convert`` maps
-an integer polynomial to an element, ``div`` divides (elimination uses
-it to invert a pivot), and ``one`` and ``zero`` are its constants.
-Elements of two different fields do not mix.  The generic target
-divides nothing: its entries stay polynomials, and ``matrix``
-eliminates them over Z[t] by steps that need no division.
+Only number fields have elements.  ``NumberField.reduce`` maps a
+polynomial to a ``NumberFieldElement``, and elements implement what
+Gaussian elimination calls: ``*``, binary ``-``, ``inverse`` and truth
+(false exactly when zero).  Elements of two different fields do not
+mix.  The other three targets only name where the variable goes:
+``matrix`` eliminates their matrices over Z[t], or over Z/p[t] for
+``PrimeField``, on plain integers, by steps that need no division.
 
 Number fields compute on plain integers.  The field keeps its modulus
 as a primitive integer polynomial F of degree k with leading
@@ -25,7 +24,7 @@ positive denominator, in lowest terms: one gcd per element, no
 with t^(k+j) = R_j / c^(j+1) modulo F: R_0 is read off F at
 construction, and R_(j+1) is c times R_j shifted up one place plus its
 top coefficient times R_0, so the table grows only when an entry or
-product of higher degree first needs it.  Converting an entry and
+product of higher degree first needs it.  Reducing an entry and
 multiplying two elements (a convolution of the numerators) both fold
 their high coefficients through this table, scaling by a single power
 of c, with no polynomial division.  Only the inverse runs an extended
@@ -170,59 +169,11 @@ class NumberFieldElement:
         return f"<{Poly(self.coeffs).format()} mod {self.field.modulus.format()}>"
 
 
-class PrimeFieldElement:
-    """An element of Z/p for a prime p."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        self.p = p
-        self.value = value % p
-
-    def _check(self, other):
-        if not isinstance(other, PrimeFieldElement):
-            return NotImplemented
-        if other.p != self.p:
-            raise ValueError("elements of different prime fields")
-        return other
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value - other.value)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PrimeFieldElement(self.p, self.value * other.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"<{self.value} mod {self.p}>"
-
-
 class FieldTarget:
-    """Common surface of the four specialisation targets."""
+    """Common surface of the four specialisation targets: a
+    description, and equality by value."""
 
     __slots__ = ()
-
-    def convert(self, p: Poly):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return a / b
-
-    @property
-    def zero(self):
-        return self.convert(Poly.zero())
-
-    @property
-    def one(self):
-        return self.convert(Poly.one())
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -236,9 +187,6 @@ class RationalFunctionField(FieldTarget):
     runs over Z[t] with no division (``matrix._echelon``)."""
 
     __slots__ = ()
-
-    def convert(self, p: Poly) -> Poly:
-        return p
 
     def describe(self) -> str:
         return "generic (rational function field)"
@@ -318,11 +266,6 @@ class NumberField(FieldTarget):
             coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
         return self._fold(coeffs, den)
 
-    convert = reduce
-
-    def div(self, a: NumberFieldElement, b: NumberFieldElement) -> NumberFieldElement:
-        return a * b.inverse()
-
     def describe(self) -> str:
         if self.degree == 1:
             return f"evaluation at t = {-self.modulus.constant_term}"
@@ -336,12 +279,10 @@ class NumberField(FieldTarget):
 
 
 class Rationals(FieldTarget):
-    """Send the variable to 0 over the rationals."""
+    """Send the variable to 0 over the rationals; ``matrix`` ranks the
+    integer matrix of constant terms."""
 
     __slots__ = ()
-
-    def convert(self, p: Poly) -> Fraction:
-        return Fraction(p.constant_term)
 
     def describe(self) -> str:
         return "rationals (t = 0)"
@@ -354,7 +295,8 @@ class Rationals(FieldTarget):
 
 
 class PrimeField(FieldTarget):
-    """Send the variable to 0 over Z/p."""
+    """Send the variable to 0 over Z/p, for a certified prime p;
+    ``matrix`` ranks the constant terms mod p."""
 
     __slots__ = ("p",)
 
@@ -362,17 +304,6 @@ class PrimeField(FieldTarget):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    def convert(self, p: Poly) -> PrimeFieldElement:
-        c = p.constant_term
-        if not isinstance(c, int):
-            raise ValueError("prime-field specialisation needs integer input")
-        return PrimeFieldElement(self.p, c)
-
-    def div(self, a: PrimeFieldElement, b: PrimeFieldElement) -> PrimeFieldElement:
-        if not b:
-            raise ZeroDivisionError(f"division by zero in Z/{self.p}")
-        return a * PrimeFieldElement(self.p, pow(b.value, -1, self.p))
 
     def describe(self) -> str:
         return f"prime field Z/{self.p} (t = 0)"

@@ -1,17 +1,21 @@
-"""Dense matrices and exact elimination, one elimination per ring.
+"""Dense matrices and exact elimination: one elimination over Z[t]
+and Z/p[t], Gaussian elimination over number fields.
 
-Over Z[t], ``_echelon`` is the one elimination.  It brings a matrix,
-its rows cleared of denominators, to row echelon form by steps that
-are invertible over Q[t]: row swaps, ``a*row - b*t^s*other_row`` with a
-a nonzero integer, and division of a row by its integer content.  It
-answers three questions:
+``_echelon`` brings a matrix, its rows cleared of denominators, to row
+echelon form by steps that are invertible over Q[t]: row swaps,
+``a*row - b*t^s*other_row`` with a a nonzero integer, and division of
+a row by its integer content.  Given a prime p it works on residues
+mod p instead, and its steps are invertible over F_p[t].  It answers
+four questions:
 
 * ``rank`` over the polynomial ring (the generic target) is the number
-  of nonzero rows it returns;
-* ``det`` is the product of the diagonal it leaves, divided by the
-  rational factor its steps applied (-1 per swap, a per step,
-  1/content per content division) and by the multipliers that cleared
-  the rows' denominators; ``int_det`` is ``det`` of a constant matrix;
+  of nonzero rows it returns; ``rank`` at t = 0 over Q, and over Z/p,
+  is that number for the matrix of constant terms, mod p for Z/p;
+* ``det`` is the product of the diagonal it leaves, times den/num for
+  the integers num/den its steps multiplied the determinant by (-1
+  per swap, a per step, 1/content per content division), divided by
+  the multipliers that cleared the rows' denominators; ``int_det`` is
+  ``det`` of a constant matrix;
 * ``minor_gcd`` does not enumerate the C(n, r)^2 minors of an n x n
   matrix.  It first compresses the matrix: row echelon form, then row
   echelon form of the transpose of the nonzero rows.  Left
@@ -24,16 +28,15 @@ answers three questions:
   about.  This is the determinantal-divisor route of Kannan and Bachem
   (1979) and Storjohann (2000), stopped before the Smith form.
 
-Over the field targets (number fields, Q and Z/p), ``rank`` is
-Gaussian elimination: it converts every entry into the target once,
-takes the first nonzero entry of the leftmost remaining column as
-pivot, inverts that pivot only when a row below needs it, and then
-costs one product per eliminated row for its multiplier and one
-product and one difference per updated entry.  In a number field of
-degree k a product is a k x k convolution of integers and one gcd,
-while an inverse is an extended Euclid by integer pseudo-division, up
-to k steps each of several polynomial updates, so a pivot with nothing
-below it is never inverted.
+Over a number field ``rank`` is Gaussian elimination: it reduces every
+entry into the field once, takes the first nonzero entry of the
+leftmost remaining column as pivot, inverts that pivot only when a row
+below needs it, and then costs one product per eliminated row for its
+multiplier and one product and one difference per updated entry.  In
+a field of degree k a product is a k x k convolution of integers and
+one gcd, while an inverse is an extended Euclid by integer
+pseudo-division, up to k steps each of several polynomial updates, so
+a pivot with nothing below it is never inverted.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .fields import RationalFunctionField
+from .fields import NumberField, PrimeField, RationalFunctionField
 from .poly import Poly, gcd_primitive
 
 
@@ -139,9 +142,10 @@ def _integer_rows(m: Matrix) -> tuple[list, int]:
     return rows, scale
 
 
-def _echelon(rows, ncols: int) -> tuple[list, Fraction]:
+def _echelon(rows, ncols: int, p: int = 0) -> tuple[list, int, int]:
     """Row echelon form by steps invertible over Q[t], on integer
-    coefficient lists (ascending powers, ``[]`` for zero).
+    coefficient lists (ascending powers, ``[]`` for zero); with a prime
+    ``p``, by steps invertible over F_p[t] on residues mod p.
 
     Each column runs Euclid: the entry of lowest degree is the pivot,
     and every other row with an entry e of no lower degree becomes
@@ -150,11 +154,17 @@ def _echelon(rows, ncols: int) -> tuple[list, Fraction]:
     then sheds its integer content; this repeats until the column holds
     one nonzero entry.  Among pivots of equal degree the one of smallest
     leading coefficient keeps the multipliers a, and so the coefficient
-    growth, small.  Returns the nonzero rows, pivots moving right, and
-    the factor the steps multiplied a square determinant by: -1 per
-    swap, a per step, 1/content per content division.
+    growth, small.  Modulo p the rows are reduced on entry and every
+    updated entry after its step; a is then a nonzero residue below p,
+    and so is a content, so each step stays invertible over F_p[t].
+    Returns the nonzero rows, pivots moving right, and the factor
+    num/den the steps multiplied a square determinant by (over Z[t]):
+    -1 per swap, a per step, 1/content per content division.
     """
-    rows = [list(row) for row in rows]
+    if p:
+        rows = [[_trim([v % p for v in entry]) for entry in row] for row in rows]
+    else:
+        rows = [list(row) for row in rows]
     num = den = 1
     rk = 0
     for col in range(ncols):
@@ -186,24 +196,42 @@ def _echelon(rows, ncols: int) -> tuple[list, Fraction]:
                             x.extend([0] * (len(y) + s - len(x)))
                             for j, v in enumerate(y, s):
                                 x[j] -= b * v
-                            while x and not x[-1]:
-                                x.pop()
-                        row[c] = x
+                        row[c] = _trim([v % p for v in x] if p else x)
                 content = math.gcd(*(v for entry in row[col:] for v in entry))
                 if content > 1:
                     row[col:] = [[v // content for v in entry] for entry in row[col:]]
                     den *= content
-    return rows[:rk], Fraction(num, den)
+    return rows[:rk], num, den
+
+
+def _trim(x: list) -> list:
+    """``x`` without its trailing zeros."""
+    while x and not x[-1]:
+        x.pop()
+    return x
 
 
 def rank(m: Matrix, target) -> int:
     """Exact rank over the target: the number of rows ``_echelon``
-    keeps over the polynomial ring (the generic target), the number of
-    pivots of Gaussian elimination over the field targets."""
+    keeps of the matrix for the generic target, and of its integer
+    constant terms for Q and Z/p at t = 0 (mod p for Z/p); the number
+    of pivots of Gaussian elimination over a number field."""
     if isinstance(target, RationalFunctionField):
         return len(_echelon(_integer_rows(m)[0], m.ncols)[0])
-    convert = target.convert
-    rows = [[convert(e) for e in row] for row in m.rows]
+    if not isinstance(target, NumberField):
+        p = target.p if isinstance(target, PrimeField) else 0
+        rows = []
+        for row in m.rows:
+            consts = [e.coeffs[0] if e.coeffs else 0 for e in row]
+            mult = math.lcm(*(c.denominator for c in consts))
+            if mult != 1:
+                if p:
+                    raise ValueError("prime-field specialisation needs integer input")
+                consts = [int(c * mult) for c in consts]
+            rows.append([[c] if c else [] for c in consts])
+        return len(_echelon(rows, m.ncols, p)[0])
+    reduce = target.reduce
+    rows = [[reduce(e) for e in row] for row in m.rows]
     nr, nc = m.nrows, m.ncols
     rk = 0
     for col in range(nc):
@@ -221,7 +249,7 @@ def rank(m: Matrix, target) -> int:
             head = row[col]
             if head:
                 if inv is None:
-                    inv = target.div(target.one, prow[col])
+                    inv = prow[col].inverse()
                 f = head * inv
                 for c in range(col + 1, nc):
                     if prow[c]:
@@ -242,14 +270,18 @@ def det(m: Matrix) -> Poly:
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     rows, scale = _integer_rows(m)
-    rows, factor = _echelon(rows, m.ncols)
+    rows, num, den = _echelon(rows, m.ncols)
     if len(rows) < m.nrows:
         return Poly.zero()
     d = Poly.one()
     for i, row in enumerate(rows):
         d = d * Poly(row[i])
-    factor *= scale
-    return d if factor == 1 else Poly([c / factor for c in d.coeffs])
+    num *= scale
+    if num == den:
+        return d
+    if scale == 1:  # an integer determinant: the division is exact
+        return Poly([c * den // num for c in d.coeffs])
+    return Poly([Fraction(c * den, num) for c in d.coeffs])
 
 
 def int_det(rows) -> int:
@@ -272,11 +304,11 @@ def minor_gcd(m: Matrix, r: int) -> Poly:
         raise ValueError("minor size must be nonnegative")
     if r == 0:
         return Poly.one()
-    rows, _ = _echelon(_integer_rows(m)[0], m.ncols)
+    rows = _echelon(_integer_rows(m)[0], m.ncols)[0]
     k = len(rows)
     if r > k:
         return Poly.zero()
-    square, _ = _echelon([list(col) for col in zip(*rows)], k)
+    square = _echelon([list(col) for col in zip(*rows)], k)[0]
     t = Matrix(k, k, [[Poly(e) for e in row] for row in square])
     g = Poly.zero()
     for row_idx in itertools.combinations(range(k), r):

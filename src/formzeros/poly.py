@@ -49,6 +49,17 @@ _TERM_RE = re.compile(
 )
 
 
+def _parse_int(digits: str, text: str) -> int:
+    """``int(digits)``, with a number past the interpreter's digit limit
+    reported as a parse error of ``text``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolynomialParseError(
+            f"number too long in polynomial {text[:20]!r}..."
+        ) from None
+
+
 class Poly:
     """An exact dense polynomial in one indeterminate."""
 
@@ -121,18 +132,18 @@ class Poly:
                         raise PolynomialParseError(
                             f"fractional coefficient {raw!r} not allowed here"
                         )
-                    num, den = raw.split("/")
-                    if int(den) == 0:
+                    num, den = (_parse_int(x, s) for x in raw.split("/"))
+                    if den == 0:
                         raise PolynomialParseError(f"zero denominator in {raw!r}")
-                    coeff = Fraction(int(num), int(den))
+                    coeff = Fraction(num, den)
                 else:
-                    coeff = int(raw)
+                    coeff = _parse_int(raw, s)
             else:
                 coeff = 1
             if m.group("var1") is not None:
-                exp = int(m.group("exp1") or 1)
+                exp = _parse_int(m.group("exp1") or "1", s)
             elif m.group("var2") is not None:
-                exp = int(m.group("exp2") or 1)
+                exp = _parse_int(m.group("exp2") or "1", s)
             else:
                 exp = 0
             coeffs[exp] = coeffs.get(exp, 0) + sgn * coeff

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ import formzeros.bounds
 import formzeros.fields
 from formzeros import cli
 from formzeros.cli import main
+from formzeros.poly import Poly
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(formzeros.__file__)))
 
@@ -469,3 +471,65 @@ def test_complex_cache_stays_at_its_bound(capsys, tmp_path):
     copy.write_text(paths[-1].read_text())
     assert run(capsys, ["betti", "-c", str(copy), "--at", "int:2"])[0] == 0
     assert cli._complex_from_text.cache_info().hits == 1
+
+
+_CONTAINMENT = re.compile(r"\((.*)\) inside \((\d+), t\)")
+
+
+def test_table_containments_hold(capsys, tmp_path, trefoil_model):
+    """Every ``X inside (p, t)`` that ``bounds`` or ``compare-ideals``
+    prints holds: p divides X(0), so X lies in (p, t)."""
+    complexes = [trefoil_model]
+    for k, matrix in enumerate(["[[2,1],[1,1]]", "[[0,-1],[1,1]]"]):
+        path = str(tmp_path / f"torus{k}.json")
+        assert main(["example", "mapping-torus", "--matrix", matrix, "-o", path]) == 0
+        complexes.append(path)
+    capsys.readouterr()
+    integers = ["rat:3", "int:2", "int:-6", "root:t^2 - 3", "root:t^3 + 2*t + 4"]
+    twists = integers + ["rat:1/2", "rat:2/3", "rat:-5/3", "root:2*t^2 + t + 1",
+                         "root:3*t^3 - 2"]
+    checked = set()
+    for command in ("bounds", "compare-ideals"):
+        for cx in complexes:
+            for spec in twists:
+                code, out, _ = run(capsys, [command, "-c", cx, "--a", spec])
+                assert code in (0, 3)
+                for x, p in _CONTAINMENT.findall(out):
+                    assert Poly.parse(x).constant_term % int(p) == 0, (command, spec, out)
+                    checked.add((command, spec))
+    # compare-ideals refuses every algebraic integer
+    assert checked == ({("bounds", spec) for spec in twists}
+                       | {("compare-ideals", spec) for spec in twists[len(integers):]})
+    code, out, _ = run(capsys, ["bounds", "-c", complexes[1], "--a", "int:2"])
+    assert code == 0 and "ideals: (t - 2) inside (2, t)\n" in out
+
+
+_DIGITS = "1" * 5001  # past the interpreter's 4300-digit limit on int(str)
+
+
+@pytest.mark.parametrize("route", [
+    "complex-ranks", "complex-ranks-text", "root-coefficient", "root-exponent",
+    "matrix-json", "matrix-entry", "presentation", "components", "max-factor-degree",
+])
+def test_malformed_input_exits_2(capsys, tmp_path, torus_file, route):
+    path = tmp_path / "input.json"
+    argv = {
+        "complex-ranks": ["betti", "-c", str(path), "--at", "zero"],
+        "complex-ranks-text": ["betti", "-c", str(path), "--at", "zero"],
+        "root-coefficient": ["unit-check", f"root:{_DIGITS}*t + 1"],
+        "root-exponent": ["unit-check", f"root:t^{_DIGITS[:4989]} + 1"],
+        "matrix-json": ["example", "mapping-torus", "--matrix", f"[[{_DIGITS}]]"],
+        "matrix-entry": ["example", "mapping-torus", "--matrix", '[["a"]]'],
+        "presentation": ["betti", "-p", str(path), "--at", "zero"],
+        "components": ["bott-check", "--components",
+                       f'[{{"index": {_DIGITS}, "dims": [1]}}]', "--rhs", "1"],
+        "max-factor-degree": ["jumps", "-c", torus_file, "--max-factor-degree", "-1"],
+    }[route]
+    path.write_text({
+        "complex-ranks": '{"ring": "Z[t]", "ranks": [%s], "boundaries": []}' % _DIGITS,
+        "complex-ranks-text": '{"ring": "Z[t]", "ranks": ["a"], "boundaries": []}',
+        "presentation": '{"m": %s}' % _DIGITS,
+    }.get(route, ""))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err) < 400

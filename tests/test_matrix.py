@@ -232,6 +232,75 @@ def test_rank_semicontinuity():
             assert rank(m, tgt) <= generic
 
 
+def _reference_rank(rows, p: int) -> int:
+    """Rank of an integer matrix by plain Gaussian elimination: over
+    Z/p on ints mod p, or over Q on ``Fraction``s when p is 0."""
+    rows = [[v % p if p else Fraction(v) for v in row] for row in rows]
+    nc = len(rows[0]) if rows else 0
+    rk = 0
+    for col in range(nc):
+        piv = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        prow = rows[rk]
+        inv = pow(prow[col], -1, p) if p else 1 / prow[col]
+        for row in rows[rk + 1:]:
+            f = row[col] * inv
+            for c in range(col, nc):
+                row[c] = (row[c] - f * prow[c]) % p if p else row[c] - f * prow[c]
+        rk += 1
+    return rk
+
+
+def test_rank_at_zero_matches_gaussian_reference():
+    """Rank over Q and over Z/p at t = 0 agrees with plain Gaussian
+    elimination on the constant terms.
+
+    Each constant-term matrix is A * B + q * C for a prime q and a
+    random inner dimension, so its rank mod q can fall below its rank
+    over Q; entries are signed, some are multiples of q, and some rows
+    and columns are zero.  Higher terms are random, as t = 0 drops them.
+    """
+    rng = random.Random(2026)
+    primes = (2, 3, 5, 7)
+    targets = [(Rationals(), 0)] + [(PrimeField(p), p) for p in primes]
+    drops = 0
+    for _ in range(240):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        q = rng.choice(primes)
+        k = rng.randint(0, min(nr, nc))
+        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nr)]
+        b = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(k)]
+        consts = [[sum(x * y for x, y in zip(row, col)) + q * rng.randint(-3, 3)
+                   for col in zip(*b)] if k else
+                  [q * rng.randint(-3, 3) for _ in range(nc)] for row in a]
+        for _ in range(rng.randint(0, 2)):
+            consts[rng.randrange(nr)] = [0] * nc
+        for _ in range(rng.randint(0, 2)):
+            j = rng.randrange(nc)
+            for row in consts:
+                row[j] = 0
+        m = Matrix(nr, nc, [[Poly([c] + [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))])
+                             for c in row] for row in consts])
+        over_q = _reference_rank(consts, 0)
+        for target, p in targets:
+            expected = _reference_rank(consts, p)
+            assert rank(m, target) == expected, (consts, target)
+            drops += expected < over_q
+    assert drops >= 100  # the mod-p ranks do fall below the rank over Q
+
+
+def test_rank_at_zero_denominators():
+    """Over Q rational constant terms are cleared row by row; Z/p
+    refuses them."""
+    m = Matrix(2, 2, [[Poly((Fraction(1, 2), 1)), Poly((Fraction(1, 3),))],
+                      [Poly((Fraction(3, 2),)), Poly((1, 1))]])
+    assert rank(m, Rationals()) == 1
+    with pytest.raises(ValueError, match="integer input"):
+        rank(m, PrimeField(3))
+
+
 def _vanishes_at(minor: Poly, target) -> bool:
     """Whether a Z[t] polynomial maps to zero in a field target."""
     if isinstance(target, NumberField):
