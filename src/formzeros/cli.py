@@ -34,6 +34,7 @@ from .bounds import (
 )
 from .complexes import (
     ChainComplex,
+    _json_int,
     betti,
     dominates,
     euler_characteristic,
@@ -290,10 +291,11 @@ def _load_components(text: str):
         raise SchemaError("components must be a JSON list")
     for item in data:
         try:
-            comps.append(
-                BottComponentData(int(item["index"]), tuple(int(d) for d in item["dims"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            comps.append(BottComponentData(
+                _json_int(item["index"], "a component index"),
+                tuple(_json_int(d, "a component dimension") for d in item["dims"]),
+            ))
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad component entry {item!r}: {exc}") from None
     return comps
 

@@ -37,6 +37,18 @@ _ONE_PLUS_T = Poly((1, 1))
 MEMO_SIZE = 64
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` as an int, for an integer field of an input document.
+    A float or a bool is refused, not truncated or coerced, and so is
+    anything ``int()`` rejects."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise SchemaError(f"{what} must be an integer, got {value!r:.40}")
+
+
 class ChainComplex:
     """Ranks plus boundary matrices with polynomial entries."""
 
@@ -44,8 +56,8 @@ class ChainComplex:
 
     def __init__(self, ranks, boundaries):
         try:
-            ranks = tuple(int(r) for r in ranks)
-        except (TypeError, ValueError):
+            ranks = tuple(_json_int(r, "a rank") for r in ranks)
+        except TypeError:
             ranks = None
         if not ranks or any(r < 0 for r in ranks):
             raise SchemaError("ranks must be a nonempty list of nonnegative ints")

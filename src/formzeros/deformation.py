@@ -20,7 +20,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .complexes import BettiVector, ChainComplex, betti, dominates
+from .complexes import BettiVector, ChainComplex, _json_int, betti, dominates
 from .errors import NonUnimodular, PositiveXiWord, SchemaError
 from .fields import AlgebraicNumberSpec, NumberField
 from .matrix import Matrix, int_det
@@ -136,7 +136,10 @@ class GroupRingPresentation:
                 )
             gens[name] = gen
         self.generators = gens
-        self.ranks = tuple(int(r) for r in ranks)
+        try:
+            self.ranks = tuple(_json_int(r, "a rank") for r in ranks)
+        except TypeError:
+            self.ranks = ()
         if not self.ranks or any(r < 0 for r in self.ranks):
             raise SchemaError("ranks must be a nonempty list of nonnegative ints")
         self.boundaries = tuple(tuple(tuple(row) for row in b) for b in boundaries)
@@ -179,18 +182,19 @@ class GroupRingPresentation:
         if not isinstance(data, dict):
             raise SchemaError("presentation document must be a JSON object")
         try:
-            m = int(data["m"])
+            m = _json_int(data["m"], "m")
             raw_gens = data["generators"]
             ranks = data["ranks"]
             raw_bnds = data["boundaries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise SchemaError(f"presentation is missing fields: {exc}") from None
         gens = {}
         for name, g in raw_gens.items():
             try:
-                xi = int(g["xi"])
-                mon_rows = [[int(x) for x in row] for row in g["mon"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                xi = _json_int(g["xi"], "xi")
+                mon_rows = [[_json_int(x, "a monodromy entry") for x in row]
+                            for row in g["mon"]]
+            except (KeyError, TypeError) as exc:
                 raise SchemaError(
                     f"generator {name!r} is malformed: {exc}"
                 ) from None
@@ -264,8 +268,8 @@ def mapping_torus(b_rows) -> ChainComplex:
     B must be a square integer matrix with determinant +-1.
     """
     try:
-        rows = [[int(x) for x in row] for row in b_rows]
-    except (TypeError, ValueError):
+        rows = [[_json_int(x, "a monodromy entry") for x in row] for row in b_rows]
+    except TypeError:
         raise SchemaError("monodromy matrix must be a list of integer rows") from None
     n = len(rows)
     if any(len(r) != n for r in rows):

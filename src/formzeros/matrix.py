@@ -1,32 +1,36 @@
 """Dense matrices and exact elimination: one elimination over Z[t]
 and Z/p[t], Gaussian elimination over number fields.
 
-``_echelon`` brings a matrix, its rows cleared of denominators, to row
-echelon form by steps that are invertible over Q[t]: row swaps,
-``a*row - b*t^s*other_row`` with a a nonzero integer, and division of
-a row by its integer content.  Given a prime p it works on residues
-mod p instead, and its steps are invertible over F_p[t].  It answers
-four questions:
+Every matrix the pipeline hands this module has integer polynomial
+entries: complexes parse integer coefficients only, and mapping tori
+and deformation complexes are built from integers.  ``_echelon``,
+and so ``rank``, ``det`` and ``minor_gcd``, take integer matrices only
+and raise ``ValueError`` on a rational entry.
+
+``_echelon`` brings a matrix to row echelon form by steps that are
+invertible over Q[t]: row swaps, ``a*row - b*t^s*other_row`` with a a
+nonzero integer, and division of a row by its integer content.  Given
+a prime p it works on residues mod p instead, and its steps are
+invertible over F_p[t].  It answers four questions:
 
 * ``rank`` over the polynomial ring (the generic target) is the number
   of nonzero rows it returns; ``rank`` at t = 0 over Q, and over Z/p,
   is that number for the matrix of constant terms, mod p for Z/p;
 * ``det`` is the product of the diagonal it leaves, times den/num for
   the integers num/den its steps multiplied the determinant by (-1
-  per swap, a per step, 1/content per content division), divided by
-  the multipliers that cleared the rows' denominators; ``int_det`` is
-  ``det`` of a constant matrix;
-* ``minor_gcd`` does not enumerate the C(n, r)^2 minors of an n x n
-  matrix.  It first compresses the matrix: row echelon form, then row
-  echelon form of the transpose of the nonzero rows.  Left
-  multiplication by an invertible matrix over Q[t] keeps the gcd of
-  the r x r minors up to a rational unit, since each new minor is a
-  Q[t] combination of the old ones (Cauchy-Binet) and the inverse gives
-  the converse; transposing keeps it too.  What is left is a k x k
-  matrix, k the generic rank, and ``det`` takes the minors of that:
-  one determinant when r = k, as for every boundary the pipeline asks
-  about.  This is the determinantal-divisor route of Kannan and Bachem
-  (1979) and Storjohann (2000), stopped before the Smith form.
+  per swap, a per step, 1/content per content division); ``int_det``
+  is ``det`` of a constant matrix;
+* ``minor_gcd`` does not enumerate the C(n, k)^2 maximal minors of an
+  n x n matrix of generic rank k.  It compresses the matrix: row
+  echelon form, then row echelon form of the transpose of the nonzero
+  rows.  Left multiplication by an invertible matrix over Q[t] keeps
+  the gcd of the k x k minors up to a rational unit, since each new
+  minor is a Q[t] combination of the old ones (Cauchy-Binet) and the
+  inverse gives the converse; transposing keeps it too.  What is left
+  is an upper-triangular k x k matrix, whose one k x k minor is the
+  product of its diagonal.  This is the determinantal-divisor route of
+  Kannan and Bachem (1979) and Storjohann (2000), stopped before the
+  Smith form.
 
 Over a number field ``rank`` is Gaussian elimination: it reduces every
 entry into the field once, takes the first nonzero entry of the
@@ -41,12 +45,10 @@ a pivot with nothing below it is never inverted.
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 
 from .fields import NumberField, PrimeField, RationalFunctionField
-from .poly import Poly, gcd_primitive
+from .poly import Poly
 
 
 class Matrix:
@@ -115,31 +117,16 @@ class Matrix:
             out.append(row)
         return Matrix(self.nrows, other.ncols, out)
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(
-            len(row_idx),
-            len(col_idx),
-            [[self.rows[r][c] for c in col_idx] for r in row_idx],
-        )
-
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
 
 
-def _integer_rows(m: Matrix) -> tuple[list, int]:
-    """The rows of a polynomial matrix as integer coefficient lists
-    (ascending powers, ``[]`` for zero), each row multiplied by the
-    least common multiple of its denominators, and the product of those
-    multipliers."""
-    rows, scale = [], 1
-    for row in m.rows:
-        mult = math.lcm(*(c.denominator for e in row for c in e.coeffs))
-        if mult == 1:
-            rows.append([list(e.coeffs) for e in row])
-        else:
-            rows.append([[int(c * mult) for c in e.coeffs] for e in row])
-            scale *= mult
-    return rows, scale
+def _integer_rows(m: Matrix) -> list:
+    """The rows of an integer polynomial matrix as integer coefficient
+    lists (ascending powers, ``[]`` for zero)."""
+    if not all(e.is_integral() for row in m.rows for e in row):
+        raise ValueError("matrix entries must be integer polynomials")
+    return [[list(e.coeffs) for e in row] for row in m.rows]
 
 
 def _echelon(rows, ncols: int, p: int = 0) -> tuple[list, int, int]:
@@ -213,22 +200,14 @@ def _trim(x: list) -> list:
 
 def rank(m: Matrix, target) -> int:
     """Exact rank over the target: the number of rows ``_echelon``
-    keeps of the matrix for the generic target, and of its integer
-    constant terms for Q and Z/p at t = 0 (mod p for Z/p); the number
-    of pivots of Gaussian elimination over a number field."""
+    keeps of the matrix for the generic target, and of its constant
+    terms for Q and Z/p at t = 0 (mod p for Z/p); the number of pivots
+    of Gaussian elimination over a number field."""
     if isinstance(target, RationalFunctionField):
-        return len(_echelon(_integer_rows(m)[0], m.ncols)[0])
+        return len(_echelon(_integer_rows(m), m.ncols)[0])
     if not isinstance(target, NumberField):
         p = target.p if isinstance(target, PrimeField) else 0
-        rows = []
-        for row in m.rows:
-            consts = [e.coeffs[0] if e.coeffs else 0 for e in row]
-            mult = math.lcm(*(c.denominator for c in consts))
-            if mult != 1:
-                if p:
-                    raise ValueError("prime-field specialisation needs integer input")
-                consts = [int(c * mult) for c in consts]
-            rows.append([[c] if c else [] for c in consts])
+        rows = [[_trim(e[:1]) for e in row] for row in _integer_rows(m)]
         return len(_echelon(rows, m.ncols, p)[0])
     reduce = target.reduce
     rows = [[reduce(e) for e in row] for row in m.rows]
@@ -259,29 +238,30 @@ def rank(m: Matrix, target) -> int:
 
 
 def det(m: Matrix) -> Poly:
-    """Exact determinant of a square polynomial matrix (the empty
-    matrix gives one).
+    """Exact determinant of a square integer polynomial matrix (the
+    empty matrix gives one).
 
     ``_echelon`` leaves a triangular matrix when the determinant is
     nonzero; the determinant is the product of its diagonal divided by
-    the factor the elimination steps applied and by the multipliers
-    that cleared the rows' denominators.
+    the factor num/den the elimination steps applied, exactly on ints.
     """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows, scale = _integer_rows(m)
-    rows, num, den = _echelon(rows, m.ncols)
+    rows, num, den = _echelon(_integer_rows(m), m.ncols)
     if len(rows) < m.nrows:
         return Poly.zero()
+    d = _diagonal_product(rows)
+    if num == den:
+        return d
+    return Poly([c * den // num for c in d.coeffs])
+
+
+def _diagonal_product(rows) -> Poly:
+    """The product of the diagonal of a square echelon form."""
     d = Poly.one()
     for i, row in enumerate(rows):
         d = d * Poly(row[i])
-    num *= scale
-    if num == den:
-        return d
-    if scale == 1:  # an integer determinant: the division is exact
-        return Poly([c * den // num for c in d.coeffs])
-    return Poly([Fraction(c * den, num) for c in d.coeffs])
+    return d
 
 
 def int_det(rows) -> int:
@@ -291,30 +271,24 @@ def int_det(rows) -> int:
 
 
 def minor_gcd(m: Matrix, r: int) -> Poly:
-    """Content-normalised gcd of all r x r minors of an integer
-    polynomial matrix.
+    """Content-normalised gcd of the r x r minors of an integer
+    polynomial matrix of generic rank k, for r = 0 or r >= k.
 
-    The result is primitive with positive leading coefficient; it is the
-    zero polynomial when every minor vanishes identically (including the
-    vacuous case r > min(nrows, ncols)), and one when r = 0.  The minors
-    are taken of the k x k compression of ``m`` (see the module
-    docstring), k the generic rank, so r = k costs one determinant.
+    The result is primitive with positive leading coefficient.  It is
+    one when r = 0, zero when r > k (every r x r minor vanishes), and at
+    r = k the primitive part of the diagonal product of the k x k
+    compression (see the module docstring).  A size 0 < r < k, which
+    the pipeline never asks for, raises ``ValueError``.
     """
     if r < 0:
         raise ValueError("minor size must be nonnegative")
     if r == 0:
         return Poly.one()
-    rows = _echelon(_integer_rows(m)[0], m.ncols)[0]
+    rows = _echelon(_integer_rows(m), m.ncols)[0]
     k = len(rows)
     if r > k:
         return Poly.zero()
+    if r < k:
+        raise ValueError(f"minor size {r} is below the generic rank {k}")
     square = _echelon([list(col) for col in zip(*rows)], k)[0]
-    t = Matrix(k, k, [[Poly(e) for e in row] for row in square])
-    g = Poly.zero()
-    for row_idx in itertools.combinations(range(k), r):
-        for col_idx in itertools.combinations(range(k), r):
-            d = det(t.submatrix(row_idx, col_idx))
-            g = gcd_primitive(g, d)
-            if g.coeffs == (1,):
-                return g
-    return g
+    return _diagonal_product(square).primitive()

@@ -28,7 +28,8 @@ coefficients suppressed::
 
 The parser accepts arbitrary whitespace and term order and, when
 ``allow_fractions`` is set (used for minimal polynomials), ``p/q``
-coefficients.
+coefficients.  It refuses an exponent above ``MAX_EXPONENT``, as the
+dense coefficient list it builds has one entry per power.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ _TERM_RE = re.compile(
         )\s*""",
     re.VERBOSE,
 )
+
+# Largest exponent ``Poly.parse`` accepts.
+MAX_EXPONENT = 100_000
 
 
 def _parse_int(digits: str, text: str) -> int:
@@ -88,10 +92,6 @@ class Poly:
         return cls((1,))
 
     @classmethod
-    def t(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
     def constant(cls, c) -> "Poly":
         return cls((c,))
 
@@ -104,7 +104,8 @@ class Poly:
         """Parse the signed-integer-coefficient grammar over ``t``.
 
         Rational ``p/q`` coefficients are rejected unless
-        ``allow_fractions`` is set.
+        ``allow_fractions`` is set, and exponents above ``MAX_EXPONENT``
+        always.
         """
         s = text.strip()
         if not s:
@@ -146,6 +147,10 @@ class Poly:
                 exp = _parse_int(m.group("exp2") or "1", s)
             else:
                 exp = 0
+            if exp > MAX_EXPONENT:
+                raise PolynomialParseError(
+                    f"exponent above {MAX_EXPONENT} in polynomial {text[:20]!r}..."
+                )
             coeffs[exp] = coeffs.get(exp, 0) + sgn * coeff
             pos = m.end()
             first = False
@@ -327,12 +332,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t**k."""
-        if self.is_zero():
-            return self
-        return Poly((0,) * k + self.coeffs)
 
     def lowest_power(self) -> int:
         """Exponent of the smallest power with nonzero coefficient."""

@@ -510,6 +510,8 @@ _DIGITS = "1" * 5001  # past the interpreter's 4300-digit limit on int(str)
 @pytest.mark.parametrize("route", [
     "complex-ranks", "complex-ranks-text", "root-coefficient", "root-exponent",
     "matrix-json", "matrix-entry", "presentation", "components", "max-factor-degree",
+    "complex-ranks-float", "matrix-float", "presentation-float", "components-float",
+    "exponent-cap",
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, torus_file, route):
     path = tmp_path / "input.json"
@@ -524,11 +526,23 @@ def test_malformed_input_exits_2(capsys, tmp_path, torus_file, route):
         "components": ["bott-check", "--components",
                        f'[{{"index": {_DIGITS}, "dims": [1]}}]', "--rhs", "1"],
         "max-factor-degree": ["jumps", "-c", torus_file, "--max-factor-degree", "-1"],
+        # JSON floats and bools are refused, not truncated or coerced
+        "complex-ranks-float": ["betti", "-c", str(path), "--at", "zero"],
+        "matrix-float": ["example", "mapping-torus", "--matrix", "[[1.5]]"],
+        "presentation-float": ["betti", "-p", str(path), "--at", "zero"],
+        "components-float": ["bott-check", "--components",
+                             '[{"index": 0.7, "dims": [1.9]}]', "--rhs", "1"],
+        "exponent-cap": ["unit-check", "root:t^10000000000 + 1"],
     }[route]
     path.write_text({
         "complex-ranks": '{"ring": "Z[t]", "ranks": [%s], "boundaries": []}' % _DIGITS,
         "complex-ranks-text": '{"ring": "Z[t]", "ranks": ["a"], "boundaries": []}',
         "presentation": '{"m": %s}' % _DIGITS,
+        "complex-ranks-float": '{"ring": "Z[t]", "ranks": [1.5], "boundaries": []}',
+        "presentation-float": json.dumps({
+            "m": 1, "generators": {"g": {"xi": -1, "mon": [[1]]}},
+            "ranks": [1, True], "boundaries": [[["1 - g"]]],
+        }),
     }.get(route, ""))
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")

@@ -44,7 +44,7 @@ def _cx(ranks, boundaries):
 
 
 def test_shape_mismatch_rejected():
-    square = Matrix(1, 1, [[Poly.t()]])
+    square = Matrix(1, 1, [[Poly((0, 1))]])
     with pytest.raises(SchemaError):
         ChainComplex((1, 2), [square])
 

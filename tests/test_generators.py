@@ -3,6 +3,7 @@ presentations.  Each test owns its seed so failures replay exactly."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -103,14 +104,18 @@ def test_specialisation_commutes_with_evaluation():
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         tgt = NumberField(Poly((-c, 1)))
         direct = betti(cx, tgt).entries
-        # rebuild the complex with constant entries, then take generic betti
+        # rebuild the complex with constant entries, each row cleared of
+        # its denominators (a nonzero scaling keeps every rank), then
+        # take generic betti
         consts = []
         for i in range(1, cx.top_degree + 1):
             b = cx.boundary(i)
-            consts.append(
-                Matrix(b.nrows, b.ncols,
-                       [[Poly((p.evaluate(c),)) for p in row] for row in b.rows])
-            )
+            rows = []
+            for row in b.rows:
+                values = [Fraction(p.evaluate(c)) for p in row]
+                mult = math.lcm(*(v.denominator for v in values))
+                rows.append([Poly((v * mult,)) for v in values])
+            consts.append(Matrix(b.nrows, b.ncols, rows))
         from formzeros.complexes import ChainComplex
 
         cx2 = ChainComplex(cx.ranks, consts)

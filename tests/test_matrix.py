@@ -82,8 +82,10 @@ def _cofactor_det(rows, one):
 
 
 def test_det_matches_cofactor_with_fraction_rows():
-    """Rows with rational coefficients are cleared of denominators before
-    elimination; ``det`` divides that multiplier back out."""
+    """``det`` takes integer matrices only: a matrix with a rational
+    coefficient raises, and once each row is cleared of its
+    denominators ``det`` is the rational determinant times the product
+    of the multipliers."""
     rng = random.Random(31)
     fractional = 0
     for _ in range(40):
@@ -93,7 +95,12 @@ def test_det_matches_cofactor_with_fraction_rows():
                  for _ in range(n)] for _ in range(n)]
         m = Matrix(n, n, rows)
         expected = _cofactor_det([list(r) for r in m.rows], Poly.one())
-        assert det(m) == expected, rows
+        mults = [math.lcm(*(c.denominator for e in row for c in e.coeffs)) for row in rows]
+        if any(mult > 1 for mult in mults):
+            with pytest.raises(ValueError, match="integer polynomials"):
+                det(m)
+        cleared = Matrix(n, n, [[e * mult for e in row] for row, mult in zip(rows, mults)])
+        assert det(cleared) == expected * math.prod(mults), rows
         fractional += not expected.is_integral()
     assert fractional  # some determinants do keep a denominator
 
@@ -198,11 +205,13 @@ def test_minor_gcd_known():
 def test_minor_gcd_full_rank_coprime():
     m = _pmat([["t", "0"], ["0", "t + 1"]])
     assert minor_gcd(m, 2) == Poly((0, 1, 1)).primitive()
-    assert minor_gcd(m, 1) == Poly.one()  # gcd(t, t+1) = 1
+    with pytest.raises(ValueError, match="below the generic rank"):
+        minor_gcd(m, 1)  # only the maximal minors are taken
 
 
 def test_rank_equals_largest_nonvanishing_minor():
-    """Cross-check elimination rank against the minor characterisation."""
+    """Cross-check elimination rank against the minor characterisation,
+    and ``minor_gcd`` at and above that rank against the minors."""
     rng = random.Random(88)
     for _ in range(25):
         nr, nc = rng.randint(1, 3), rng.randint(1, 3)
@@ -212,9 +221,11 @@ def test_rank_equals_largest_nonvanishing_minor():
         r = rank(m, RFF)
         largest = 0
         for k in range(1, min(nr, nc) + 1):
-            if not minor_gcd(m, k).is_zero():
+            if not _minor_gcd_by_enumeration(m, k).is_zero():
                 largest = k
         assert r == largest
+        assert minor_gcd(m, r) == _minor_gcd_by_enumeration(m, r)
+        assert minor_gcd(m, r + 1) == Poly.zero()
 
 
 def test_rank_semicontinuity():
@@ -292,13 +303,14 @@ def test_rank_at_zero_matches_gaussian_reference():
 
 
 def test_rank_at_zero_denominators():
-    """Over Q rational constant terms are cleared row by row; Z/p
-    refuses them."""
+    """A rational entry is refused at every target of the integer
+    elimination, and by ``det`` and ``minor_gcd``."""
     m = Matrix(2, 2, [[Poly((Fraction(1, 2), 1)), Poly((Fraction(1, 3),))],
                       [Poly((Fraction(3, 2),)), Poly((1, 1))]])
-    assert rank(m, Rationals()) == 1
-    with pytest.raises(ValueError, match="integer input"):
-        rank(m, PrimeField(3))
+    for call in (lambda: rank(m, Rationals()), lambda: rank(m, PrimeField(3)),
+                 lambda: rank(m, RFF), lambda: det(m), lambda: minor_gcd(m, 2)):
+        with pytest.raises(ValueError, match="integer polynomials"):
+            call()
 
 
 def _vanishes_at(minor: Poly, target) -> bool:
@@ -337,12 +349,7 @@ def test_rank_over_fields_matches_minors():
         b = Matrix(k, nc, [[Poly([rng.randint(-2, 2) for _ in range(2)])
                             for _ in range(nc)] for _ in range(k)])
         m = a.mul(d).mul(b)
-        minors = {
-            r: [det(m.submatrix(ri, ci))
-                for ri in itertools.combinations(range(nr), r)
-                for ci in itertools.combinations(range(nc), r)]
-            for r in range(1, min(nr, nc) + 1)
-        }
+        minors = {r: _minors(m, r) for r in range(1, min(nr, nc) + 1)}
         generic = rank(m, RFF)
         for tgt in targets:
             expected = max(
@@ -358,14 +365,20 @@ def test_rank_over_fields_matches_minors():
 # -- minor_gcd against the enumeration it replaced ------------------------
 
 
+def _minors(m: Matrix, r: int) -> list:
+    """Every r x r minor of ``m``, each taken by ``det``."""
+    return [det(Matrix(r, r, [[m.rows[i][j] for j in ci] for i in ri]))
+            for ri in itertools.combinations(range(m.nrows), r)
+            for ci in itertools.combinations(range(m.ncols), r)]
+
+
 def _minor_gcd_by_enumeration(m: Matrix, r: int) -> Poly:
-    """Gcd of every r x r minor, each taken by ``det``."""
+    """Gcd of every r x r minor."""
     if r == 0:
         return Poly.one()
     g = Poly.zero()
-    for ri in itertools.combinations(range(m.nrows), r):
-        for ci in itertools.combinations(range(m.ncols), r):
-            g = gcd_primitive(g, det(m.submatrix(ri, ci)))
+    for minor in _minors(m, r):
+        g = gcd_primitive(g, minor)
     return g
 
 
@@ -392,12 +405,19 @@ def _planted_product(rng, nr, nc, k):
 
 
 def test_minor_gcd_matches_enumeration():
+    """At r = 0, at the generic rank and above it; below it, a size
+    the pipeline never asks for, ``minor_gcd`` raises."""
     rng = random.Random(9103)
     nontrivial = 0
     for _ in range(150):
         nr, nc, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 5)
         m = _planted_product(rng, nr, nc, k)
+        generic = rank(m, RFF)
         for r in range(min(nr, nc) + 2):
+            if 0 < r < generic:
+                with pytest.raises(ValueError, match="below the generic rank"):
+                    minor_gcd(m, r)
+                continue
             g = minor_gcd(m, r)
             assert g == _minor_gcd_by_enumeration(m, r), (m, r)
             nontrivial += g.degree >= 1
@@ -417,7 +437,8 @@ def test_minor_gcd_degenerate_shapes():
 
 def test_minor_gcd_matches_sympy_invariant_factors():
     """Over the PID Q[t] the gcd of the r x r minors is the product of
-    the first r invariant factors."""
+    the first r invariant factors; ``minor_gcd`` takes r = k, the
+    generic rank, and r > k."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
 
@@ -429,7 +450,12 @@ def test_minor_gcd_matches_sympy_invariant_factors():
         sm = sympy.Matrix(nr, nc, lambda i, j: sum(
             c * t**e for e, c in enumerate(m[i, j].coeffs)))
         factors = invariant_factors(sm, domain=sympy.QQ[t])
+        generic = rank(m, RFF)
         for r in range(1, min(nr, nc) + 1):
+            if r < generic:
+                with pytest.raises(ValueError, match="below the generic rank"):
+                    minor_gcd(m, r)
+                continue
             product = sympy.Poly(sympy.Mul(*factors[:r]), t)
             coeffs = [sympy.Rational(c) for c in reversed(product.all_coeffs())]
             expected = Poly([Fraction(int(c.p), int(c.q)) for c in coeffs])
@@ -439,7 +465,7 @@ def test_minor_gcd_matches_sympy_invariant_factors():
 
 def test_det_and_generic_rank_match_sympy():
     """``det`` and ``rank`` over Q(t) agree with sympy over QQ[t] on
-    planted products, some rows scaled to rational coefficients."""
+    planted products, some rows scaled by a constant."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
@@ -452,20 +478,18 @@ def test_det_and_generic_rank_match_sympy():
         if rng.random() < 0.5:
             nc = nr
         m = _planted_product(rng, nr, nc, k)
-        rows = [[e * Fraction(1, 6) for e in row] if rng.random() < 0.3 else row
+        rows = [[e * 6 for e in row] if rng.random() < 0.3 else row
                 for row in m.rows]
         m = Matrix(nr, nc, rows)
         sm = sympy.Matrix(nr, nc, lambda i, j: sum(
-            sympy.Rational(c.numerator, c.denominator) * t**e
-            for e, c in enumerate(map(Fraction, m[i, j].coeffs))))
+            c * t**e for e, c in enumerate(m[i, j].coeffs)))
         dm = DomainMatrix.from_Matrix(sm).convert_to(ring)
         expected_rank = dm.convert_to(field).rank()
         assert rank(m, RFF) == expected_rank, m
         deficient += expected_rank < min(nr, nc)
         if nr == nc:
             coeffs = sympy.Poly(ring.to_sympy(dm.det()), t).all_coeffs()
-            expected = Poly([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)])
-            assert det(m) == expected, m
+            assert det(m) == Poly([int(c) for c in reversed(coeffs)]), m
     assert deficient  # the planted zeros do drop the rank
 
 
@@ -539,10 +563,11 @@ def test_field_rank_inverts_only_pivots_a_row_below_needs(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
-def test_minor_gcd_takes_one_determinant_at_full_rank(monkeypatch):
-    """A 10 x 10 matrix of rank 5 with a nontrivial gcd compresses to a
-    5 x 5 one, so its maximal minors cost one ``det`` (enumerating them
-    takes C(10, 5)^2 = 63,504)."""
+def test_minor_gcd_takes_no_determinant_at_full_rank(monkeypatch):
+    """A 10 x 10 matrix of rank 5 with a nontrivial gcd compresses to an
+    upper-triangular 5 x 5 one, so its maximal minors cost no ``det``:
+    their gcd is the primitive part of the compression's diagonal
+    product (enumerating them takes C(10, 5)^2 = 63,504)."""
     rng = random.Random(2113)
     planted = ["t - 2", "1", "t^2 + 1", "1", "3"]
     a = [[Poly.one() if i == j else Poly.zero() for j in range(5)] for i in range(5)]
@@ -560,4 +585,4 @@ def test_minor_gcd_takes_one_determinant_at_full_rank(monkeypatch):
 
     monkeypatch.setattr(formzeros.matrix, "det", counting)
     assert minor_gcd(m, 5) == Poly.parse("t^3 - 2*t^2 + t - 2")  # (t - 2)(t^2 + 1)
-    assert len(calls) == 1
+    assert not calls

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from formzeros.errors import PolynomialParseError
-from formzeros.poly import Poly, gcd_primitive, radical
+from formzeros.poly import MAX_EXPONENT, Poly, gcd_primitive, radical
 
 
 def test_zero_normalisation():
@@ -132,8 +132,7 @@ def test_strip_powers():
     assert Poly.zero().strip_powers() == (0, Poly.zero())
 
 
-def test_shift_and_lowest_power():
-    assert Poly((1, 1)).shift(2) == Poly((0, 0, 1, 1))
+def test_lowest_power():
     assert Poly((0, 0, 5)).lowest_power() == 2
 
 
@@ -310,6 +309,7 @@ def test_parse_gives_int_coefficients():
     # integer text under allow_fractions stays int as well
     q = Poly.parse("2*t^2 + 4", allow_fractions=True)
     assert all(type(c) is int for c in q.coeffs)
+    assert Poly.parse(f"t^{MAX_EXPONENT} - 1").degree == MAX_EXPONENT
 
 
 @pytest.mark.parametrize("text, allow, message", [
@@ -322,6 +322,9 @@ def test_parse_gives_int_coefficients():
     ("", False, "empty polynomial string"),
     ("   ", True, "empty polynomial string"),
     ("+", False, "cannot parse polynomial '+' at position 0"),
+    # refused before the dense coefficient list of 10^10 entries is built
+    ("t^10000000000", False, "exponent above 100000 in polynomial 't^10000000000'..."),
+    ("2*t^100001 + 1", True, "exponent above 100000 in polynomial '2*t^100001 + 1'..."),
 ])
 def test_parse_error_messages(text, allow, message):
     with pytest.raises(PolynomialParseError) as info:
